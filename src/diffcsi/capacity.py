@@ -3,8 +3,12 @@
 The transmitter precodes on the singular vectors of the quantized channel
 with water-filled per-mode powers; the per-block capacity accounts for
 pilot overhead and for the residual estimation-error covariance in closed
-form.  The Monte Carlo evaluator is vectorized over trials and chunked so
-results are independent of worker count.
+form.  The capacity sees the precoder V diag(z) only through the Hermitian
+P = V Z^2 V^+, which is what the batched helpers pass around.  2x2
+channels use closed forms for P and for the capacity; every other shape
+uses a thin SVD and two slogdet calls, which also serve as the test oracle
+for the 2x2 path.  The Monte Carlo evaluator is vectorized over trials and
+chunked so results are independent of worker count.
 """
 
 from __future__ import annotations
@@ -116,58 +120,111 @@ def waterfill_batch(gammas: np.ndarray, amplitude2: float, n_t: int) -> np.ndarr
     return np.maximum(z2, 0.0)
 
 
-def _f_matrix(j: np.ndarray, cfg: CapacityConfig) -> np.ndarray:
-    """Closed-form F = (1/A^2 + N_t sigma_psi^2) I + (1-r)^2 J J^+."""
+def _kernel_constants(cfg: CapacityConfig):
+    """(c, q) with F = c I + q J J^+: c = sigma_0^2/A^2 + N_t sigma_psi^2, q = (1-r)^2."""
     p = cfg.params
-    r = p.ratio
-    eye = np.eye(p.n_r)
-    jj = j @ np.swapaxes(j.conj(), -1, -2)
-    diag = cfg.noise_variance / cfg.amplitude2 + p.n_t * p.psi_variance
-    return diag * eye + (1.0 - r) ** 2 * jj
+    c = cfg.noise_variance / cfg.amplitude2 + p.n_t * p.psi_variance
+    return c, (1.0 - p.ratio) ** 2
 
 
-def _logdet_ratio(f: np.ndarray, jj: np.ndarray) -> np.ndarray:
-    """log2 det(I + JJ^+ F^-1) = log2 det(F + JJ^+) - log2 det(F)."""
-    _, ld_num = np.linalg.slogdet(f + jj)
-    _, ld_den = np.linalg.slogdet(f)
-    return (ld_num - ld_den) / math.log(2.0)
+def _is_2x2(m: np.ndarray) -> bool:
+    return m.shape[-2:] == (2, 2)
 
 
 def block_capacity(h_hat: np.ndarray, h_bar: np.ndarray, cfg: CapacityConfig) -> float:
     """Per-block capacity in bits/s/Hz with precoder derived from h_bar.
 
     h_bar is the transmitter's (possibly outdated, quantized) channel;
-    h_hat is the receiver's current estimate.
+    h_hat is the receiver's current estimate.  A batch of one through the
+    Monte Carlo path.
     """
     h_hat = check_finite(np.asarray(h_hat), "h_hat")
     h_bar = check_finite(np.asarray(h_bar), "h_bar")
-    gammas, v = _svd_vz(h_bar)
-    alloc = waterfill(gammas, cfg.amplitude2, cfg.params.n_t)
-    z = np.sqrt(alloc.z2)
-    j = h_hat @ v @ np.diag(z)
-    jj = j @ j.conj().T
-    f = _f_matrix(j, cfg)
-    return float(cfg.overhead * _logdet_ratio(f, jj))
+    p = _held_precoder(h_bar[None, :, :], cfg)
+    return float(_capacity_batch(h_hat[None, :, :], p, cfg)[0])
 
 
-def _svd_vz(h_bar: np.ndarray):
-    """Singular values (descending) and right singular vectors of h_bar."""
-    _, s, vh = np.linalg.svd(h_bar)
-    return s, np.swapaxes(vh.conj(), -1, -2)
+def _held_precoder(h_bar: np.ndarray, cfg: CapacityConfig) -> np.ndarray:
+    """Batched precoder Gram P = V Z^2 V^+ (B, nt, nt) from h_bar (B, nr, nt).
+
+    The capacity depends on the precoder V diag(z) only through P.  2x2
+    channels take the closed form; every other shape takes the SVD.
+    """
+    if _is_2x2(h_bar):
+        return _closed_precoder_2x2(h_bar, cfg)
+    return _svd_precoder(h_bar, cfg)
 
 
-def _held_precoder(h_bar: np.ndarray, cfg: CapacityConfig):
-    """Batched precoder (V sqrt(Z^2)) from quantized channel (B, nr, nt)."""
-    s, v = _svd_vz(h_bar)
+def _capacity_batch(h_hat: np.ndarray, p: np.ndarray, cfg: CapacityConfig) -> np.ndarray:
+    """Per-block capacity (B,) for estimates h_hat (B, nr, nt) under precoder P."""
+    if _is_2x2(h_hat):
+        return _closed_capacity_2x2(h_hat, p, cfg)
+    return _slogdet_capacity(h_hat, p, cfg)
+
+
+def _svd_precoder(h_bar: np.ndarray, cfg: CapacityConfig) -> np.ndarray:
+    """General path: thin SVD, water-filling over the min(nr, nt) modes."""
+    _, s, vh = np.linalg.svd(h_bar, full_matrices=False)
     z2 = waterfill_batch(s, cfg.amplitude2, cfg.params.n_t)
-    return v * np.sqrt(z2)[:, None, :]   # V @ diag(z)
+    v = np.swapaxes(vh.conj(), -1, -2)
+    return (v * z2[:, None, :]) @ vh
 
 
-def _capacity_batch(h_hat: np.ndarray, vz: np.ndarray, cfg: CapacityConfig) -> np.ndarray:
-    j = h_hat @ vz
-    jj = j @ np.swapaxes(j.conj(), -1, -2)
-    f = _f_matrix(j, cfg)
-    return cfg.overhead * _logdet_ratio(f, jj)
+def _slogdet_capacity(h_hat: np.ndarray, p: np.ndarray, cfg: CapacityConfig) -> np.ndarray:
+    """General path: log2 det(F + JJ^+) - log2 det(F) with JJ^+ = H_hat P H_hat^+."""
+    c, q = _kernel_constants(cfg)
+    jj = h_hat @ p @ np.swapaxes(h_hat.conj(), -1, -2)
+    f = c * np.eye(h_hat.shape[-2]) + q * jj
+    _, ld_num = np.linalg.slogdet(f + jj)
+    _, ld_den = np.linalg.slogdet(f)
+    return cfg.overhead * (ld_num - ld_den) / math.log(2.0)
+
+
+def _gram_2x2(h: np.ndarray):
+    """Diagonal (B, 2) and (0, 1) entry (B,) of G = H^+ H, and |det H|^2 (B,)."""
+    hc = h.conj()
+    abs2 = (h * hc).real
+    diag = abs2[:, 0] + abs2[:, 1]
+    off = hc[:, 0, 0] * h[:, 0, 1] + hc[:, 1, 0] * h[:, 1, 1]
+    det = h[:, 0, 0] * h[:, 1, 1] - h[:, 0, 1] * h[:, 1, 0]
+    return diag, off, (det * det.conj()).real
+
+
+def _closed_precoder_2x2(h_bar: np.ndarray, cfg: CapacityConfig) -> np.ndarray:
+    """P = z2^2 I + (z1^2 - z2^2) (G - lam2 I) / (lam1 - lam2) from the
+    eigenvalues lam1 >= lam2 of G = H_bar^+ H_bar; no eigenvectors are formed."""
+    diag, g12, det2 = _gram_2x2(h_bar)
+    half_gap = 0.5 * (diag[:, 0] - diag[:, 1])
+    disc = np.hypot(half_gap, np.abs(g12))                  # (lam1 - lam2) / 2
+    lam1 = 0.5 * (diag[:, 0] + diag[:, 1]) + disc
+    lam2 = det2 / np.where(lam1 > 0, lam1, 1.0)             # no cancellation
+    z2 = waterfill_batch(np.sqrt(np.stack([lam1, lam2], axis=1)),
+                         cfg.amplitude2, cfg.params.n_t)
+    # equal eigenvalues (disc = 0) get equal powers, so the projector drops out
+    w = (z2[:, 0] - z2[:, 1]) / np.where(disc > 0, 2.0 * disc, 1.0)
+    p = np.empty((len(h_bar), 4), dtype=complex)            # row-major 2x2
+    p[:, 0::3] = z2[:, 1:] + w[:, None] * (diag - lam2[:, None])
+    p[:, 1] = w * g12
+    p[:, 2] = p[:, 1].conj()
+    return p.reshape(h_bar.shape)
+
+
+def _closed_capacity_2x2(h_hat: np.ndarray, p: np.ndarray, cfg: CapacityConfig) -> np.ndarray:
+    """log2 det(I + JJ^+ F^-1) from tr and det of JJ^+ = H_hat P H_hat^+.
+
+    F and F + JJ^+ are c I + q JJ^+ and c I + (1+q) JJ^+, so with
+    t = tr(JJ^+), D = det(JJ^+) the ratio of determinants is
+    (c^2 + c(1+q) t + (1+q)^2 D) / (c^2 + c q t + q^2 D).
+    """
+    c, q = _kernel_constants(cfg)
+    diag, g12, det2 = _gram_2x2(h_hat)
+    p = p.reshape(len(p), 4)
+    p11, p22, p12 = p[:, 0].real, p[:, 3].real, p[:, 1]
+    tr = p11 * diag[:, 0] + p22 * diag[:, 1] + 2.0 * (p12 * g12.conj()).real  # tr(P G)
+    det = det2 * (p11 * p22 - (p12 * p12.conj()).real)
+    den = c * c + (c * q) * tr + (q * q) * det
+    # numerator - denominator = c t + (1 + 2q) D; log1p keeps small rates exact
+    return cfg.overhead / math.log(2.0) * np.log1p((c * tr + (1.0 + 2.0 * q) * det) / den)
 
 
 def _simulate_chunk(args):
@@ -187,8 +244,8 @@ def _simulate_chunk(args):
         for _ in range(periods):
             h_hat = h + sample_cn(shape, p.sigma_e2, rng)
             h_bar = h_hat - sample_cn(shape, d, rng)
-            vz = _held_precoder(h_bar, cfg)
-            per_block.append(_capacity_batch(h_hat, vz, cfg))
+            prec = _held_precoder(h_bar, cfg)
+            per_block.append(_capacity_batch(h_hat, prec, cfg))
             h = sample_cn(shape, p.sigma_h2, rng)
     else:
         # causal feedback: the quantized channel produced at an epoch is
@@ -196,19 +253,19 @@ def _simulate_chunk(args):
         # epoch itself is one interval old (matches the delayed-distortion
         # closed form).  The cold-start period uses its own epoch's
         # feedback and is excluded from the statistics.
-        vz = None
+        prec = None
         for period in range(periods + 1):
             for b in range(t):
                 h_hat = h + sample_cn(shape, p.sigma_e2, rng)
                 if b == 0:
                     h_bar = h_hat - sample_cn(shape, d, rng)
-                    next_vz = _held_precoder(h_bar, cfg)
-                    if vz is None:
-                        vz = next_vz
+                    next_prec = _held_precoder(h_bar, cfg)
+                    if prec is None:
+                        prec = next_prec
                 if period > 0:
-                    per_block.append(_capacity_batch(h_hat, vz, cfg))
+                    per_block.append(_capacity_batch(h_hat, prec, cfg))
                 h = alpha1 * h + beta * sample_cn(shape, p.sigma_h2, rng)
-            vz = next_vz
+            prec = next_prec
     caps = np.stack(per_block, axis=0)          # (blocks, trials)
     return caps.mean(axis=0)                    # per-trial mean
 

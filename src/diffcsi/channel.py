@@ -46,6 +46,9 @@ class ChannelParams:
     def __post_init__(self):
         if self.n_t < 1 or self.n_r < 1:
             raise ValueError("antenna counts must be >= 1")
+        for name in ("sigma_h2", "sigma_hhat2", "f_d", "t_block"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.sigma_h2 <= 0:
             raise ValueError("sigma_h2 must be > 0")
         if self.sigma_hhat2 < self.sigma_h2:

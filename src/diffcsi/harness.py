@@ -72,6 +72,23 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
             raise ValueError(f"unknown scenario {self.scenario!r}; choose from {SCENARIOS}")
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            for v in value if isinstance(value, list) else [value]:
+                if isinstance(v, float) and not math.isfinite(v):
+                    raise ValueError(f"{f.name} must be finite, got {value}")
+        if not self.c_fb or min(self.c_fb) <= 0:
+            raise ValueError(f"c_fb must be a non-empty list of values > 0, got {self.c_fb}")
+        if min(self.d_list, default=1.0) <= 0 or min(self.sigma_e2_list, default=0.0) < 0:
+            raise ValueError("d_list entries must be > 0 and sigma_e2_list entries >= 0")
+        if self.trials < 1:
+            raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if self.t_min < 1 or self.t_step < 1:
+            raise ValueError(f"t_min and t_step must be >= 1, got {self.t_min}, {self.t_step}")
+        if self.t_min > self.t_max:
+            raise ValueError(f"t_min ({self.t_min}) exceeds t_max ({self.t_max})")
+        # the channel and link configs run their own range checks
+        CapacityConfig(params=self.params, snr_db=self.snr_db, l_block=self.l_block)
 
     @property
     def params(self) -> ChannelParams:

@@ -144,7 +144,9 @@ def train_codebook(
         err = flat - centers[labels]
         dist = float(np.mean(np.abs(err) ** 2) * dim)  # per-sample squared error
         history.append(dist)
-        assert dist <= prev * (1.0 + 1e-12), "Lloyd distortion increased"
+        if dist > prev * (1.0 + 1e-12):
+            raise RuntimeError(
+                f"Lloyd distortion increased at iteration {it}: {prev} -> {dist}")
         improved = prev - dist
         counts = np.bincount(labels, minlength=n_entries)
         cell_dist = np.zeros(n_entries)
@@ -235,7 +237,7 @@ def run_feedback_session(
     h = sample_cn(shape, p.sigma_h2, rng)
     h_bar = np.zeros(shape, dtype=complex)
     flat_entries = _flatten(cb.entries)
-    vz = None
+    prec = None
     for n in range(n_blocks):
         h_hat = h + sample_cn(shape, p.sigma_e2, rng)
         idx = None
@@ -247,8 +249,8 @@ def run_feedback_session(
             # causal application: the precoder for this period comes from
             # the previous epoch's reconstruction; cold start uses the
             # first reconstruction directly (H_bar_0 = 0 is unusable)
-            vz = _held_precoder((h_bar if n == 0 else prev_bar)[None, :, :], cfg)
-        cap = float(_capacity_batch(h_hat[None, :, :], vz, cfg)[0])
+            prec = _held_precoder((h_bar if n == 0 else prev_bar)[None, :, :], cfg)
+        cap = float(_capacity_batch(h_hat[None, :, :], prec, cfg)[0])
         sq_err = float(np.sum(np.abs(h_hat - h_bar) ** 2) / (p.n_r * p.n_t))
         trace.records.append(BlockRecord(
             block=n, h=h.copy(), h_hat=h_hat, h_bar=h_bar.copy(),

@@ -24,6 +24,7 @@ __all__ = [
     "DistortionPoint",
     "IntervalOptimum",
     "SolverError",
+    "RateDistortionError",
     "mi_lower_bound",
     "min_feedback_rate",
     "distortion_from_rate",
@@ -42,6 +43,10 @@ LN2 = math.log(2.0)
 
 class SolverError(RuntimeError):
     """Raised when the interval solver cannot bracket a root."""
+
+
+class RateDistortionError(ArithmeticError):
+    """Raised when no distortion corresponds to the requested rate."""
 
 
 @dataclass(frozen=True)
@@ -122,7 +127,11 @@ def distortion_from_rate(params: ChannelParams, alpha: float, r_bits: float) -> 
     a2r2 = alpha * alpha * r * r
     g = 2.0 ** (r_bits / (params.n_r * params.n_t))
     denom = g - a2r2
-    assert denom > 0, "denominator must be positive for R >= 0"
+    if not denom > 0:
+        # only R = 0 with |alpha| r = 1 (a perfectly estimated, fully
+        # correlated channel) gets here: 0 bits pin down no distortion
+        raise RateDistortionError(
+            f"distortion undefined at R={r_bits}, alpha={alpha}, r={r}")
     return params.sigma_hhat2 * (1.0 - a2r2) / denom
 
 

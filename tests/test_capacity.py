@@ -7,6 +7,12 @@ from hypothesis import strategies as st
 
 from diffcsi.capacity import (
     CapacityConfig,
+    _capacity_batch,
+    _closed_capacity_2x2,
+    _closed_precoder_2x2,
+    _held_precoder,
+    _slogdet_capacity,
+    _svd_precoder,
     block_capacity,
     ergodic_capacity,
     waterfill,
@@ -87,19 +93,19 @@ class TestBlockCapacity:
             got = block_capacity(h, h, cfg)
             # direct evaluation: F = (1/A^2) I
             _, s, vh = np.linalg.svd(h)
-            from diffcsi.capacity import waterfill as wf
-            z = np.sqrt(wf(s, cfg.amplitude2, 2).z2)
+            z = np.sqrt(waterfill(s, cfg.amplitude2, 2).z2)
             j = h @ vh.conj().T @ np.diag(z)
             direct = cfg.overhead * math.log2(
                 np.real(np.linalg.det(np.eye(2) + cfg.amplitude2 * (j @ j.conj().T))))
             assert got == pytest.approx(direct, rel=1e-10)
 
     def test_zero_power_gives_zero_capacity(self, cap_cfg):
-        # manually zeroed precoder: J = 0, log2 det(I) = 0
-        from diffcsi.capacity import _capacity_batch
+        # manually zeroed precoder, passed as its Gram P = V Z^2 V^+ = 0:
+        # J = 0, log2 det(I) = 0 on the closed-form and the slogdet path
         h = sample_cn((1, 2, 2), 1.0, RngStream(32, 0).generator())
-        vz = np.zeros((1, 2, 2), dtype=complex)
-        assert _capacity_batch(h, vz, cap_cfg)[0] == pytest.approx(0.0, abs=1e-12)
+        p = np.zeros((1, 2, 2), dtype=complex)
+        assert _capacity_batch(h, p, cap_cfg)[0] == pytest.approx(0.0, abs=1e-12)
+        assert _slogdet_capacity(h, p, cap_cfg)[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_capacity_nonnegative(self, cap_cfg):
         rng = RngStream(33, 0).generator()
@@ -148,6 +154,119 @@ class TestBlockCapacity:
                 + params.n_t * params.psi_variance * np.eye(2)
             se = np.abs(closed).max() / math.sqrt(n) * 4
             assert np.all(np.abs(emp - closed) < 3 * (se + 0.01))
+
+
+def link(n_r, n_t, snr_db, sigma_e2):
+    params = ChannelParams(n_t=n_t, n_r=n_r, sigma_h2=1.0, sigma_hhat2=1.0 + sigma_e2,
+                           f_d=9.26, t_block=1e-3)
+    return CapacityConfig(params=params, snr_db=snr_db, l_block=100)
+
+
+def direct_capacity(h_hat, h_bar, cfg):
+    """Independent one-block oracle: full SVD, scalar water-filling, explicit
+    inverse and determinant of I + J J^+ F^-1."""
+    p = cfg.params
+    _, s, vh = np.linalg.svd(h_bar)
+    z = np.sqrt(waterfill(s, cfg.amplitude2, p.n_t).z2)
+    j = h_hat @ vh.conj().T[:, :len(s)] @ np.diag(z)
+    jj = j @ j.conj().T
+    c = cfg.noise_variance / cfg.amplitude2 + p.n_t * p.psi_variance
+    f = c * np.eye(p.n_r) + (1.0 - p.ratio) ** 2 * jj
+    return cfg.overhead * math.log2(np.linalg.det(np.eye(p.n_r) + jj @ np.linalg.inv(f)).real)
+
+
+def assert_closed_forms_match_oracle(h_hat, h_bar, cfg):
+    """2x2 closed-form precoder and kernel against the SVD / slogdet path."""
+    p_closed = _closed_precoder_2x2(h_bar, cfg)
+    p_svd = _svd_precoder(h_bar, cfg)
+    np.testing.assert_allclose(p_closed, p_svd, rtol=0, atol=1e-9 * cfg.params.n_t)
+    np.testing.assert_allclose(
+        _closed_capacity_2x2(h_hat, p_closed, cfg),
+        _slogdet_capacity(h_hat, p_svd, cfg), rtol=1e-9)
+
+
+class TestClosedForms:
+    """The 2x2 closed forms against the general SVD / slogdet path."""
+
+    @given(snr_db=st.floats(min_value=-10.0, max_value=30.0),
+           sigma_e2=st.sampled_from([0.0, 0.2]),
+           d=st.floats(min_value=1e-3, max_value=2.0),
+           seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_random_channels(self, snr_db, sigma_e2, d, seed):
+        cfg = link(2, 2, snr_db, sigma_e2)
+        rng = np.random.default_rng(seed)
+        h_hat = sample_cn((32, 2, 2), cfg.params.sigma_hhat2, rng)
+        h_bar = h_hat - sample_cn((32, 2, 2), d, rng)
+        assert_closed_forms_match_oracle(h_hat, h_bar, cfg)
+
+    @given(snr_db=st.floats(min_value=-10.0, max_value=30.0),
+           scale=st.floats(min_value=1e-2, max_value=10.0),
+           seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_equal_singular_values(self, snr_db, scale, seed):
+        # scaled unitary H_bar: G = scale^2 I, both modes get power 1
+        cfg = link(2, 2, snr_db, 0.2)
+        rng = np.random.default_rng(seed)
+        h_bar = np.stack([scale * random_unitary(2, rng) for _ in range(8)])
+        h_hat = h_bar + sample_cn((8, 2, 2), 0.1, rng)
+        assert_closed_forms_match_oracle(h_hat, h_bar, cfg)
+        p = _closed_precoder_2x2(h_bar, cfg)
+        np.testing.assert_allclose(p, np.broadcast_to(np.eye(2), p.shape), atol=1e-9)
+
+    @given(snr_db=st.floats(min_value=-10.0, max_value=30.0),
+           sigma_e2=st.sampled_from([0.0, 0.2]),
+           seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_rank_one(self, snr_db, sigma_e2, seed):
+        # one live mode: all power N_t on it, P = N_t v v^+
+        cfg = link(2, 2, snr_db, sigma_e2)
+        rng = np.random.default_rng(seed)
+        u = sample_cn((8, 2, 1), 1.0, rng)
+        v = sample_cn((8, 1, 2), 1.0, rng)
+        h_bar = u @ v
+        h_hat = h_bar + sample_cn((8, 2, 2), 0.3, rng)
+        assert_closed_forms_match_oracle(h_hat, h_bar, cfg)
+        p = _closed_precoder_2x2(h_bar, cfg)
+        np.testing.assert_allclose(np.trace(p, axis1=1, axis2=2).real, 2.0, rtol=1e-12)
+        assert np.all(np.abs(np.linalg.det(p)) < 1e-9)
+
+    def test_dispatch_on_shape(self, cap_cfg):
+        rng = RngStream(40, 0).generator()
+        h_hat = sample_cn((16, 2, 2), 1.2, rng)
+        h_bar = h_hat - sample_cn((16, 2, 2), 0.2, rng)
+        p = _held_precoder(h_bar, cap_cfg)
+        assert np.array_equal(p, _closed_precoder_2x2(h_bar, cap_cfg))
+        assert np.array_equal(_capacity_batch(h_hat, p, cap_cfg),
+                              _closed_capacity_2x2(h_hat, p, cap_cfg))
+
+    @pytest.mark.parametrize("n_r,n_t", [(1, 2), (2, 3), (3, 2), (3, 3), (2, 2)])
+    def test_every_shape_matches_direct_oracle(self, n_r, n_t):
+        rng = RngStream(41, 10 * n_r + n_t).generator()
+        for snr_db in (-10.0, 0.0, 20.0):
+            for sigma_e2 in (0.0, 0.2):
+                cfg = link(n_r, n_t, snr_db, sigma_e2)
+                h_hat = sample_cn((24, n_r, n_t), cfg.params.sigma_hhat2, rng)
+                h_bar = h_hat - sample_cn((24, n_r, n_t), 0.3, rng)
+                p = _held_precoder(h_bar, cfg)
+                assert p.shape == (24, n_t, n_t)
+                np.testing.assert_allclose(np.trace(p, axis1=1, axis2=2).real, n_t,
+                                           rtol=1e-12)
+                want = [direct_capacity(a, b, cfg) for a, b in zip(h_hat, h_bar)]
+                np.testing.assert_allclose(_capacity_batch(h_hat, p, cfg), want,
+                                           rtol=1e-9)
+                assert block_capacity(h_hat[0], h_bar[0], cfg) == pytest.approx(
+                    want[0], rel=1e-9)
+                zero = np.zeros((1, n_t, n_t), dtype=complex)
+                assert _capacity_batch(h_hat[:1], zero, cfg)[0] == pytest.approx(
+                    0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("n_r,n_t", [(2, 3), (3, 2)])
+    def test_ergodic_capacity_off_square(self, n_r, n_t):
+        cfg = link(n_r, n_t, 0.0, 0.2)
+        budget = FeedbackBudget(c_fb=1.0, r_bits=3.0, t_blocks=3)
+        m, s = ergodic_capacity(cfg, budget, 0.2, trials=200, seed=9)
+        assert math.isfinite(m) and m > 0 and math.isfinite(s)
 
 
 class TestErgodicCapacity:

@@ -27,6 +27,11 @@ class TestChannelParams:
             ChannelParams(2, 2, 1.0, 0.9, 9.26, 1e-3)
         with pytest.raises(ValueError):
             ChannelParams(2, 2, 1.0, 1.2, -9.26, 1e-3)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                ChannelParams(2, 2, bad, 1.2, 9.26, 1e-3)
+            with pytest.raises(ValueError, match="finite"):
+                ChannelParams(2, 2, 1.0, 1.2, 9.26, bad)
 
     def test_derived_quantities(self, params):
         assert params.sigma_e2 == pytest.approx(0.2)

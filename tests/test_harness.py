@@ -169,3 +169,34 @@ class TestCli:
         rc = main(["optimal-interval", "--set", "sigma_hhat2=1.0"])
         assert rc == EXIT_NUMERICAL
         assert "numerical failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["capacity", "--trials", "0"],
+        ["capacity", "--set", "t_min=0"],
+        ["capacity", "--set", "t_step=0"],
+        ["capacity", "--set", "t_min=9", "--set", "t_max=3"],
+        ["capacity", "--set", "c_fb="],
+        ["capacity", "--set", "c_fb=1 inf"],
+        ["capacity", "--set", "c_fb=0 1"],
+        ["capacity", "--set", "sigma_h2=nan"],
+        ["capacity", "--set", "snr_db=nan"],
+        ["rate", "--set", "d_list=0.1 -1"],
+    ])
+    def test_invalid_config_exits_2(self, argv, capsys):
+        rc = main(argv)
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("figure,extra", [
+        ("fig4", ["--set", "t_max=3", "--set", "c_fb=1 2"]),
+        ("fig5", ["--set", "r_max=2", "--set", "lloyd_sessions=3",
+                  "--set", "lloyd_training=400"]),
+    ])
+    def test_more_transmit_than_receive_antennas(self, figure, extra, capsys):
+        rc = main(["reproduce", figure, "--set", "n_t=3", "--set", "n_r=2",
+                   "--trials", "64", *extra])
+        assert rc == EXIT_OK
+        rows = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]
+        values = [float(v) for row in rows[1:] for v in row.split(",")]
+        assert len(rows) > 1 and all(math.isfinite(v) for v in values)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from diffcsi import lloydfb
 from diffcsi.capacity import CapacityConfig
 from diffcsi.channel import autocorrelation
 from diffcsi.lloydfb import (
@@ -48,6 +49,21 @@ class TestTrainCodebook:
     def test_distortion_history_non_increasing(self, codebook):
         hist = codebook.training_meta["distortion_history"]
         assert all(b <= a * (1 + 1e-12) for a, b in zip(hist, hist[1:]))
+
+    def test_distortion_increase_raises(self, training_samples, monkeypatch):
+        # a partition that is not nearest-codeword after the first pass makes
+        # the distortion rise; the check must stop training explicitly
+        nearest = lloydfb._nearest
+        calls = []
+
+        def bad_nearest(flat, centers):
+            labels = nearest(flat, centers)
+            calls.append(1)
+            return labels if len(calls) == 1 else (labels + 1) % len(centers)
+
+        monkeypatch.setattr(lloydfb, "_nearest", bad_nearest)
+        with pytest.raises(RuntimeError, match="Lloyd distortion increased"):
+            train_codebook(training_samples, rate_bits=3, seed=1)
 
     def test_converse_bound_on_held_out(self, params, budget, codebook):
         held_out = open_loop_training_samples(params, budget, 20000, RngStream(62, 0))

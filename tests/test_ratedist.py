@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +13,7 @@ from diffcsi.channel import ChannelParams, autocorrelation
 from diffcsi.ratedist import (
     DistortionPoint,
     FeedbackBudget,
+    RateDistortionError,
     causal_distortion,
     distortion_derivative,
     distortion_from_rate,
@@ -100,6 +105,26 @@ class TestDistortionFromRate:
     def test_rejects_negative_rate(self, params):
         with pytest.raises(ValueError):
             distortion_from_rate(params, 0.5, -1.0)
+
+    def test_undefined_point_is_arithmetic_error(self, params_perfect):
+        # R = 0 with a perfectly estimated, fully correlated channel has a
+        # zero denominator; the check holds under python -O as well
+        with pytest.raises(RateDistortionError, match="undefined"):
+            distortion_from_rate(params_perfect, 1.0, 0.0)
+        assert issubclass(RateDistortionError, ArithmeticError)
+
+    def test_undefined_point_under_optimize_flag(self, params_perfect):
+        code = ("from diffcsi.channel import ChannelParams\n"
+                "from diffcsi.ratedist import RateDistortionError, distortion_from_rate\n"
+                "p = ChannelParams(2, 2, 1.0, 1.0, 9.26, 1e-3)\n"
+                "try:\n"
+                "    distortion_from_rate(p, 1.0, 0.0)\n"
+                "except RateDistortionError:\n"
+                "    raise SystemExit(0)\n"
+                "raise SystemExit(1)\n")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        assert subprocess.run([sys.executable, "-O", "-c", code], env=env).returncode == 0
 
 
 class TestCausalDistortion:
