@@ -7,8 +7,10 @@ form.  The capacity sees the precoder V diag(z) only through the Hermitian
 P = V Z^2 V^+, which is what the batched helpers pass around.  2x2
 channels use closed forms for P and for the capacity; every other shape
 uses a thin SVD and two slogdet calls, which also serve as the test oracle
-for the 2x2 path.  The Monte Carlo evaluator is vectorized over trials and
-chunked so results are independent of worker count.
+for the 2x2 path.  One causal feedback loop serves both the Gaussian test
+channel of the theory and the Lloyd codebook; the Monte Carlo evaluator
+runs it vectorized over trials and chunked so results are independent of
+worker count.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelParams, autocorrelation
+from .channel import ChannelParams, advance, autocorrelation, estimate
 from .mathcore import RngStream, check_finite, sample_cn
 from .ratedist import FeedbackBudget
 
@@ -29,6 +31,7 @@ __all__ = [
     "waterfill",
     "waterfill_batch",
     "block_capacity",
+    "feedback_loop",
     "ergodic_capacity",
 ]
 
@@ -227,47 +230,62 @@ def _closed_capacity_2x2(h_hat: np.ndarray, p: np.ndarray, cfg: CapacityConfig) 
     return cfg.overhead / math.log(2.0) * np.log1p((c * tr + (1.0 + 2.0 * q) * det) / den)
 
 
+def feedback_loop(cfg: CapacityConfig, t: int, n_blocks: int, discard: int, quantize,
+                  h: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Periodic causal feedback over a batch of channels h (B, nr, nt).
+
+    At every T-th block (an epoch) the receiver's estimate H_hat and the
+    shared reconstruction H_bar pass through quantize(h_hat, h_bar), which
+    returns the next H_bar; H_bar_0 = 0.  The precoder for a period comes
+    from the previous epoch's H_bar, so the CSI in use at an epoch is one
+    interval old (the delayed-distortion closed form); the cold-start
+    period uses its own epoch's feedback.  The channel moves only through
+    channel.estimate and channel.advance.  Returns the per-block
+    capacities (n_blocks - discard, B) of the blocks after the first
+    `discard`.
+    """
+    p = cfg.params
+    alpha = autocorrelation(p, 1.0)
+    h_bar = np.zeros_like(h)
+    prec = held = None
+    caps = []
+    for n in range(n_blocks):
+        h_hat = estimate(h, p, rng)
+        if n % t == 0:
+            h_bar = quantize(h_hat, h_bar)
+            prec, held = held, _held_precoder(h_bar, cfg)
+            if prec is None:
+                prec = held
+        if n >= discard:
+            caps.append(_capacity_batch(h_hat, prec, cfg))
+        h = advance(h, alpha, p, rng)
+    return np.stack(caps)
+
+
 def _simulate_chunk(args):
     """One chunk of Monte Carlo trials; pure function of (seed, chunk index)."""
     cfg, budget, d, n_trials, seed, chunk_id, periods, mode = args
     p = cfg.params
     rng = RngStream(seed, chunk_id).generator()
     t = max(1, budget.t_blocks)
-    alpha1 = autocorrelation(p, 1.0)
-    beta = math.sqrt(1.0 - alpha1 * alpha1)
     shape = (n_trials, p.n_r, p.n_t)
 
     h = sample_cn(shape, p.sigma_h2, rng)
+    if mode == "simulate":
+        # the Gaussian test channel of per-entry variance d; the cold-start
+        # period is excluded from the statistics
+        def gaussian_quantizer(h_hat, h_bar):
+            return h_hat - sample_cn(shape, d, rng)
+
+        return feedback_loop(cfg, t, (periods + 1) * t, t, gaussian_quantizer, h, rng).mean(axis=0)
+    # independent per-block snapshots with the effective distortion d
     per_block = []
-    if mode == "analytic":
-        # independent per-block snapshots with the effective distortion d
-        for _ in range(periods):
-            h_hat = h + sample_cn(shape, p.sigma_e2, rng)
-            h_bar = h_hat - sample_cn(shape, d, rng)
-            prec = _held_precoder(h_bar, cfg)
-            per_block.append(_capacity_batch(h_hat, prec, cfg))
-            h = sample_cn(shape, p.sigma_h2, rng)
-    else:
-        # causal feedback: the quantized channel produced at an epoch is
-        # applied during the following period, so the CSI in use at the
-        # epoch itself is one interval old (matches the delayed-distortion
-        # closed form).  The cold-start period uses its own epoch's
-        # feedback and is excluded from the statistics.
-        prec = None
-        for period in range(periods + 1):
-            for b in range(t):
-                h_hat = h + sample_cn(shape, p.sigma_e2, rng)
-                if b == 0:
-                    h_bar = h_hat - sample_cn(shape, d, rng)
-                    next_prec = _held_precoder(h_bar, cfg)
-                    if prec is None:
-                        prec = next_prec
-                if period > 0:
-                    per_block.append(_capacity_batch(h_hat, prec, cfg))
-                h = alpha1 * h + beta * sample_cn(shape, p.sigma_h2, rng)
-            prec = next_prec
-    caps = np.stack(per_block, axis=0)          # (blocks, trials)
-    return caps.mean(axis=0)                    # per-trial mean
+    for _ in range(periods):
+        h_hat = estimate(h, p, rng)
+        prec = _held_precoder(h_hat - sample_cn(shape, d, rng), cfg)
+        per_block.append(_capacity_batch(h_hat, prec, cfg))
+        h = sample_cn(shape, p.sigma_h2, rng)
+    return np.stack(per_block).mean(axis=0)
 
 
 def ergodic_capacity(

@@ -29,17 +29,10 @@ from .ratedist import (
 __all__ = [
     "ExperimentConfig",
     "SCENARIOS",
-    "interval_from_budget",
     "run_scenario",
     "render_csv",
     "load_config_file",
 ]
-
-SCENARIOS = (
-    "fig2", "fig3", "fig4", "fig5",
-    "rate", "distortion", "optimal-interval", "capacity", "lloyd-sim",
-)
-
 
 @dataclass
 class ExperimentConfig:
@@ -54,7 +47,6 @@ class ExperimentConfig:
     t_block: float = 1e-3
     snr_db: float = 0.0
     l_block: int = 100
-    pilot_fraction: float = 0.1
     c_fb: list = field(default_factory=lambda: [0.5, 1.0, 2.0, 4.0])
     t_min: int = 1
     t_max: int = 100
@@ -81,8 +73,13 @@ class ExperimentConfig:
             raise ValueError(f"c_fb must be a non-empty list of values > 0, got {self.c_fb}")
         if min(self.d_list, default=1.0) <= 0 or min(self.sigma_e2_list, default=0.0) < 0:
             raise ValueError("d_list entries must be > 0 and sigma_e2_list entries >= 0")
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
+        # a standard error needs at least two samples
+        if self.trials < 2 or self.lloyd_sessions < 2:
+            raise ValueError(f"trials and lloyd_sessions must be >= 2, "
+                             f"got {self.trials}, {self.lloyd_sessions}")
+        if self.r_max < 1 or self.lloyd_rounds < 1:
+            raise ValueError(f"r_max and lloyd_rounds must be >= 1, "
+                             f"got {self.r_max}, {self.lloyd_rounds}")
         if self.t_min < 1 or self.t_step < 1:
             raise ValueError(f"t_min and t_step must be >= 1, got {self.t_min}, {self.t_step}")
         if self.t_min > self.t_max:
@@ -103,15 +100,6 @@ class ExperimentConfig:
     @property
     def capacity_config(self) -> CapacityConfig:
         return CapacityConfig(params=self.params, snr_db=self.snr_db, l_block=self.l_block)
-
-
-def interval_from_budget(r_bits: float, c_fb: float) -> int:
-    """Feedback interval in blocks: least integer T with R/T <= C_fb."""
-    if c_fb <= 0:
-        raise ValueError(f"c_fb must be > 0, got {c_fb}")
-    if r_bits < 0:
-        raise ValueError(f"r_bits must be >= 0, got {r_bits}")
-    return math.ceil(r_bits / c_fb)
 
 
 def _fmt(v) -> str:
@@ -207,10 +195,10 @@ def _scenario_fig5(cfg: ExperimentConfig):
     header = ["T", "C_theory", "C_lloyd", "stderr"]
     rows = []
     for r_bits in range(1, cfg.r_max + 1):
-        t = interval_from_budget(r_bits, c_fb)
+        budget = FeedbackBudget.from_rate(r_bits, c_fb)
+        t = budget.t_blocks
         alpha = autocorrelation(params, t)
         d = distortion_from_rate(params, alpha, r_bits)
-        budget = FeedbackBudget(c_fb=c_fb, r_bits=r_bits, t_blocks=t)
         c_theory, _ = ergodic_capacity(
             ccfg, budget, d, trials=cfg.trials, seed=cfg.seed + t,
             workers=cfg.workers,
@@ -219,26 +207,17 @@ def _scenario_fig5(cfg: ExperimentConfig):
             ccfg, budget, n_samples=max(cfg.lloyd_training, 100 * 2 ** r_bits),
             seed=cfg.seed + 7 * r_bits, rounds=cfg.lloyd_rounds,
         )
-        caps = []
-        n_blocks = 12 * t
-        for s in range(cfg.lloyd_sessions):
-            trace = lloydfb.run_feedback_session(
-                ccfg, budget, cb, n_blocks=n_blocks, seed=cfg.seed + 10007 * r_bits + s,
-            )
-            caps.append(trace.mean_capacity(discard_blocks=2 * t))
+        # each session's first two periods are its warm-up
+        caps = [
+            np.mean(lloydfb.run_feedback_session(
+                ccfg, budget, cb, n_blocks=12 * t, seed=cfg.seed + 10007 * r_bits + s,
+            )[2 * t:])
+            for s in range(cfg.lloyd_sessions)
+        ]
         c_lloyd = float(np.mean(caps))
         stderr = float(np.std(caps, ddof=1) / math.sqrt(len(caps)))
         rows.append([t, c_theory, c_lloyd, stderr])
     return header, rows
-
-
-def _scenario_rate(cfg: ExperimentConfig):
-    # alias for fig3 on the configured grids
-    return _scenario_fig3(cfg)
-
-
-def _scenario_distortion(cfg: ExperimentConfig):
-    return _scenario_fig2(cfg)
 
 
 def _scenario_optimal_interval(cfg: ExperimentConfig):
@@ -251,25 +230,19 @@ def _scenario_optimal_interval(cfg: ExperimentConfig):
     return header, rows
 
 
-def _scenario_capacity(cfg: ExperimentConfig):
-    return _scenario_fig4(cfg)
-
-
-def _scenario_lloyd_sim(cfg: ExperimentConfig):
-    return _scenario_fig5(cfg)
-
-
 _RUNNERS = {
     "fig2": _scenario_fig2,
     "fig3": _scenario_fig3,
     "fig4": _scenario_fig4,
     "fig5": _scenario_fig5,
-    "rate": _scenario_rate,
-    "distortion": _scenario_distortion,
+    # ad-hoc names for the figure scenarios on the configured grids
+    "rate": _scenario_fig3,
+    "distortion": _scenario_fig2,
     "optimal-interval": _scenario_optimal_interval,
-    "capacity": _scenario_capacity,
-    "lloyd-sim": _scenario_lloyd_sim,
+    "capacity": _scenario_fig4,
+    "lloyd-sim": _scenario_fig5,
 }
+SCENARIOS = tuple(_RUNNERS)
 
 
 def run_scenario(cfg: ExperimentConfig) -> str:
@@ -282,8 +255,7 @@ _LIST_KEYS = {"c_fb", "d_list", "sigma_e2_list"}
 _INT_KEYS = {"n_t", "n_r", "l_block", "t_min", "t_max", "t_step", "r_max",
              "trials", "lloyd_sessions", "lloyd_training", "lloyd_rounds",
              "seed", "workers"}
-_FLOAT_KEYS = {"sigma_h2", "sigma_hhat2", "f_d", "t_block", "snr_db",
-               "pilot_fraction"}
+_FLOAT_KEYS = {"sigma_h2", "sigma_hhat2", "f_d", "t_block", "snr_db"}
 
 
 def parse_config_value(key: str, raw: str):

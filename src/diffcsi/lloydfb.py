@@ -1,9 +1,10 @@
 """Lloyd-quantized differential feedback protocol.
 
 Codebooks live over full differential channel matrices; quantization is
-nearest codeword in Frobenius distance; a feedback session alternates the
-four protocol steps (difference, quantize, send index, accumulate) with
-both sides reconstructing the identical quantized channel.
+nearest codeword in Frobenius distance.  A feedback session runs the
+causal loop of capacity.feedback_loop with the codebook as its quantizer:
+at each epoch the four protocol steps (difference, quantize, send index,
+accumulate) leave both sides with the identical quantized channel.
 """
 
 from __future__ import annotations
@@ -15,14 +16,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .capacity import CapacityConfig, _capacity_batch, _held_precoder
-from .channel import ChannelParams, autocorrelation
+from .capacity import CapacityConfig, feedback_loop
+from .channel import ChannelParams, advance, autocorrelation, estimate
 from .mathcore import RngStream, check_finite, sample_cn
 from .ratedist import FeedbackBudget, distortion_from_rate
 
 __all__ = [
     "Codebook",
-    "SessionTrace",
     "train_codebook",
     "quantize",
     "run_feedback_session",
@@ -50,39 +50,6 @@ class Codebook:
         if len(self.entries) != 2 ** self.rate_bits:
             raise ValueError("codebook must hold exactly 2^R entries")
         check_finite(self.entries, "codebook entries")
-
-
-@dataclass
-class BlockRecord:
-    block: int
-    h: np.ndarray
-    h_hat: np.ndarray
-    h_bar: np.ndarray
-    fed_back_index: int | None
-    sq_error: float          # per-entry |H_hat - H_bar|^2 / (N_r N_t)
-    capacity: float
-
-
-@dataclass
-class SessionTrace:
-    params: ChannelParams
-    t_blocks: int
-    records: list[BlockRecord] = field(default_factory=list)
-
-    def epoch_records(self, discard: int = 0):
-        """Feedback-epoch records, optionally discarding warm-up epochs."""
-        epochs = [r for r in self.records if r.fed_back_index is not None]
-        return epochs[discard:]
-
-    def mean_epoch_distortion(self, discard: int = 5) -> float:
-        epochs = self.epoch_records(discard)
-        if not epochs:
-            raise ValueError("no epochs left after discard")
-        return float(np.mean([r.sq_error for r in epochs]))
-
-    def mean_capacity(self, discard_blocks: int = 0) -> float:
-        caps = [r.capacity for r in self.records[discard_blocks:]]
-        return float(np.mean(caps))
 
 
 def _flatten(mats: np.ndarray) -> np.ndarray:
@@ -196,11 +163,33 @@ def open_loop_training_samples(
     d = distortion_from_rate(params, alpha, budget.r_bits)
     shape = (n_samples, params.n_r, params.n_t)
     h_prev = sample_cn(shape, params.sigma_h2, rng)
-    h_hat_prev = h_prev + sample_cn(shape, params.sigma_e2, rng)
-    h_bar_prev = h_hat_prev - sample_cn(shape, d, rng)
-    h_next = alpha * h_prev + math.sqrt(1.0 - alpha * alpha) * sample_cn(shape, params.sigma_h2, rng)
-    h_hat_next = h_next + sample_cn(shape, params.sigma_e2, rng)
-    return h_hat_next - h_bar_prev
+    h_bar_prev = estimate(h_prev, params, rng) - sample_cn(shape, d, rng)
+    return estimate(advance(h_prev, alpha, params, rng), params, rng) - h_bar_prev
+
+
+def _codebook_quantizer(cb: Codebook, record: list | None = None):
+    """The codebook as a feedback_loop quantizer: H_bar + C[nearest(H_hat - H_bar)].
+
+    Each pre-quantization difference H_hat - H_bar is appended to record.
+    """
+    flat_entries = _flatten(cb.entries)
+
+    def quantize_step(h_hat, h_bar):
+        h_d = h_hat - h_bar                                    # step 1
+        if record is not None:
+            record.append(h_d)
+        # steps 2-4: nearest index, sent losslessly, accumulated on both sides
+        return h_bar + cb.entries[_nearest(_flatten(h_d), flat_entries)]
+
+    return quantize_step
+
+
+def _session(cfg: CapacityConfig, t: int, quantize, n_blocks: int, seed: int) -> np.ndarray:
+    """One feedback session (batch of one) on its own seeded generator."""
+    p = cfg.params
+    rng = RngStream(seed, 0).generator()
+    h = sample_cn((1, p.n_r, p.n_t), p.sigma_h2, rng)
+    return feedback_loop(cfg, t, n_blocks, 0, quantize, h, rng)[:, 0]
 
 
 def run_feedback_session(
@@ -209,15 +198,14 @@ def run_feedback_session(
     cb: Codebook,
     n_blocks: int,
     seed: int,
-) -> SessionTrace:
-    """Run the four-step differential feedback protocol for n_blocks.
+) -> np.ndarray:
+    """Per-block capacities (n_blocks,) of the differential feedback protocol.
 
     Epochs occur at block indices divisible by T.  The transmitter-side
     reconstruction H_bar_n = H_bar_{n-1} + C_d is exact (lossless index
     channel), so receiver and transmitter always share the same H_bar.
     The first reference is H_bar_0 = 0.
     """
-    p = cfg.params
     t = budget.t_blocks
     if t < 1:
         raise ValueError("budget.t_blocks must be >= 1")
@@ -227,37 +215,7 @@ def run_feedback_session(
         )
     if n_blocks < t:
         raise ValueError("n_blocks must be >= t_blocks")
-
-    rng = RngStream(seed, 0).generator()
-    alpha1 = autocorrelation(p, 1.0)
-    beta = math.sqrt(1.0 - alpha1 * alpha1)
-    shape = (p.n_r, p.n_t)
-
-    trace = SessionTrace(params=p, t_blocks=t)
-    h = sample_cn(shape, p.sigma_h2, rng)
-    h_bar = np.zeros(shape, dtype=complex)
-    flat_entries = _flatten(cb.entries)
-    prec = None
-    for n in range(n_blocks):
-        h_hat = h + sample_cn(shape, p.sigma_e2, rng)
-        idx = None
-        if n % t == 0:
-            h_d = h_hat - h_bar                      # step 1: true difference
-            idx = int(_nearest(h_d.reshape(1, -1), flat_entries)[0])  # step 2
-            prev_bar = h_bar
-            h_bar = h_bar + cb.entries[idx]          # steps 3-4: index sent, accumulate
-            # causal application: the precoder for this period comes from
-            # the previous epoch's reconstruction; cold start uses the
-            # first reconstruction directly (H_bar_0 = 0 is unusable)
-            prec = _held_precoder((h_bar if n == 0 else prev_bar)[None, :, :], cfg)
-        cap = float(_capacity_batch(h_hat[None, :, :], prec, cfg)[0])
-        sq_err = float(np.sum(np.abs(h_hat - h_bar) ** 2) / (p.n_r * p.n_t))
-        trace.records.append(BlockRecord(
-            block=n, h=h.copy(), h_hat=h_hat, h_bar=h_bar.copy(),
-            fed_back_index=idx, sq_error=sq_err, capacity=cap,
-        ))
-        h = alpha1 * h + beta * sample_cn(shape, p.sigma_h2, rng)
-    return trace
+    return _session(cfg, t, _codebook_quantizer(cb), n_blocks, seed)
 
 
 def bootstrap_codebook(
@@ -281,20 +239,15 @@ def bootstrap_codebook(
     samples = open_loop_training_samples(p, budget, n_samples, RngStream(seed, 1))
     cb = train_codebook(samples, r_bits, max_iters=max_iters, rel_tol=rel_tol, seed=seed)
     for rnd in range(1, rounds):
-        epochs_per_session = 65
         collected = []
         s = 0
         while len(collected) < n_samples:
-            trace = run_feedback_session(
-                cfg, budget, cb, n_blocks=epochs_per_session * t,
-                seed=(seed * 1000 + rnd) * 131 + s,
-            )
-            for rec in trace.records:
-                # pre-quantization difference H_d; skip the cold-start epoch
-                if rec.fed_back_index is not None and rec.block > 0:
-                    collected.append(rec.h_hat - (rec.h_bar - cb.entries[rec.fed_back_index]))
+            diffs = []
+            _session(cfg, t, _codebook_quantizer(cb, diffs), n_blocks=65 * t,
+                     seed=(seed * 1000 + rnd) * 131 + s)
+            collected += diffs[1:]                  # skip the cold-start epoch
             s += 1
-        cb = train_codebook(np.array(collected), r_bits, max_iters=max_iters,
+        cb = train_codebook(np.concatenate(collected), r_bits, max_iters=max_iters,
                             rel_tol=rel_tol, seed=seed + rnd)
     cb.training_meta["interval"] = t
     return cb

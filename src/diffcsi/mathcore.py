@@ -1,8 +1,7 @@
 """Deterministic numerical primitives shared by every other module.
 
-Bessel evaluation, seeded complex Gaussian sampling on independent
-substreams, and the small linear-algebra surface (SVD, Hermitian solve,
-log-det) the simulator needs.
+Bessel evaluation, seeded random substreams, complex Gaussian sampling
+and the finiteness check.
 """
 
 from __future__ import annotations
@@ -17,10 +16,6 @@ __all__ = [
     "RngStream",
     "bessel_j0",
     "bessel_j1",
-    "sample_complex_gaussian",
-    "svd",
-    "hermitian_solve",
-    "logdet_hermitian",
     "check_finite",
 ]
 
@@ -65,61 +60,16 @@ class RngStream:
             np.random.SeedSequence(entropy=self.master_seed, spawn_key=(self.stream_id,))
         )
 
-    def substream(self, stream_id: int) -> "RngStream":
-        """Derive a sibling stream off the same master seed."""
-        return RngStream(self.master_seed, stream_id)
-
-
-def sample_complex_gaussian(
-    rows: int,
-    cols: int,
-    variance: float,
-    stream: RngStream | np.random.Generator,
-) -> np.ndarray:
-    """Draw an i.i.d. circularly-symmetric complex Gaussian matrix.
-
-    ``variance`` is the per-entry E|x|^2 (the CN(0, sigma^2) convention);
-    real and imaginary parts carry variance/2 each.
-    """
-    if variance < 0:
-        raise ValueError(f"variance must be >= 0, got {variance}")
-    rng = stream.generator() if isinstance(stream, RngStream) else stream
-    if variance == 0.0:
-        # still consume no randomness: degenerate distribution
-        return np.zeros((rows, cols), dtype=complex)
-    scale = math.sqrt(variance / 2.0)
-    re = rng.standard_normal((rows, cols))
-    im = rng.standard_normal((rows, cols))
-    return scale * (re + 1j * im)
-
 
 def sample_cn(shape, variance: float, rng: np.random.Generator) -> np.ndarray:
-    """Batched CN(0, variance) draw of arbitrary shape (internal helper)."""
+    """I.i.d. CN(0, variance) draw of any shape from the generator rng.
+
+    ``variance`` is the per-entry E|x|^2; real and imaginary parts carry
+    variance/2 each.  Zero variance returns zeros and draws nothing.
+    """
     if variance < 0:
         raise ValueError(f"variance must be >= 0, got {variance}")
     if variance == 0.0:
         return np.zeros(shape, dtype=complex)
     scale = math.sqrt(variance / 2.0)
     return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-
-
-def svd(m: np.ndarray):
-    """Full SVD m = U @ diag(gammas) @ V^+ with gammas sorted descending.
-
-    Returns (U, gammas, V); note V, not V^+, so the precoder can use V
-    directly.
-    """
-    m = check_finite(m, "svd input")
-    u, s, vh = np.linalg.svd(m, full_matrices=False)
-    return u, s, vh.conj().T
-
-
-def hermitian_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a @ x = b for Hermitian positive-definite a."""
-    return np.linalg.solve(a, b)
-
-
-def logdet_hermitian(a: np.ndarray) -> float:
-    """log2 det(a) for Hermitian positive-definite a (batched ok)."""
-    sign, logdet = np.linalg.slogdet(a)
-    return logdet / math.log(2.0)

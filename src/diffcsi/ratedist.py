@@ -21,7 +21,6 @@ from .mathcore import bessel_j0, bessel_j1
 
 __all__ = [
     "FeedbackBudget",
-    "DistortionPoint",
     "IntervalOptimum",
     "SolverError",
     "RateDistortionError",
@@ -68,21 +67,9 @@ class FeedbackBudget:
     @classmethod
     def from_rate(cls, r_bits: float, c_fb: float) -> "FeedbackBudget":
         """Interval from the budget inequality R / T <= C_fb (ceiling)."""
+        if c_fb <= 0:
+            raise ValueError(f"c_fb must be > 0, got {c_fb}")
         return cls(c_fb=c_fb, r_bits=r_bits, t_blocks=math.ceil(r_bits / c_fb))
-
-
-@dataclass(frozen=True)
-class DistortionPoint:
-    """Per-entry distortion d and the total D = d * N_r * N_t."""
-
-    d: float
-    big_d: float
-
-    @classmethod
-    def per_entry(cls, d: float, params: ChannelParams) -> "DistortionPoint":
-        if d < 0:
-            raise ValueError("d must be >= 0")
-        return cls(d=d, big_d=d * params.n_r * params.n_t)
 
 
 @dataclass(frozen=True)

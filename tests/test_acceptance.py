@@ -261,9 +261,8 @@ def test_11_lloyd_capacity_convergence():
                                 seed=1200 + r_bits, rounds=1)
         caps = []
         for s in range(50):
-            trace = run_feedback_session(CAP_CFG, budget, cb,
-                                         n_blocks=12 * t, seed=1300 * r_bits + s)
-            caps.append(trace.mean_capacity(discard_blocks=2 * t))
+            caps.append(np.mean(run_feedback_session(
+                CAP_CFG, budget, cb, n_blocks=12 * t, seed=1300 * r_bits + s)[2 * t:]))
         c_lloyd = float(np.mean(caps))
         gaps.append(c_theory - c_lloyd)
     assert gaps[0] > 0, gaps
@@ -276,6 +275,9 @@ def test_12_determinism():
     for scenario, extra in (
         ("fig4", dict(t_min=2, t_max=6, t_step=2, c_fb=[1.0, 2.0], trials=3000)),
         ("fig2", dict(t_max=10)),
+        # more trials than one chunk, so workers > 1 run the pool
+        ("fig5", dict(r_max=2, c_fb=[1.0], trials=2100, lloyd_sessions=2,
+                      lloyd_training=400)),
     ):
         outs = [
             run_scenario(ExperimentConfig(scenario=scenario, seed=42,

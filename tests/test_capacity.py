@@ -15,6 +15,7 @@ from diffcsi.capacity import (
     _svd_precoder,
     block_capacity,
     ergodic_capacity,
+    feedback_loop,
     waterfill,
     waterfill_batch,
 )
@@ -314,6 +315,29 @@ class TestErgodicCapacity:
             ergodic_capacity(cap_cfg, budget, 0.2, trials=0, seed=1)
         with pytest.raises(ValueError):
             ergodic_capacity(cap_cfg, budget, 0.2, trials=10, seed=1, mode="bogus")
+
+
+class TestFeedbackLoop:
+    def test_shape_and_determinism(self, params, cap_cfg):
+        def run(seed):
+            rng = RngStream(seed, 0).generator()
+            h = sample_cn((5, 2, 2), params.sigma_h2, rng)
+            calls = []
+
+            def test_channel(h_hat, h_bar):
+                calls.append(h_bar)
+                return h_hat - sample_cn(h_hat.shape, 0.2, rng)
+
+            caps = feedback_loop(cap_cfg, 3, 10, 4, test_channel, h, rng)
+            return caps, calls
+
+        caps, calls = run(21)
+        assert caps.shape == (6, 5)
+        assert np.all(np.isfinite(caps)) and np.all(caps >= 0)
+        # epochs at blocks 0, 3, 6, 9; the first reference is H_bar_0 = 0
+        assert len(calls) == 4 and np.all(calls[0] == 0)
+        again, _ = run(21)
+        assert np.array_equal(caps, again)
 
 
 def test_capacity_config_validation(params):

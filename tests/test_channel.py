@@ -8,8 +8,6 @@ from diffcsi.channel import (
     advance,
     autocorrelation,
     estimate,
-    generate_trajectory,
-    pilot_error_variance,
     regression_decompose,
 )
 from diffcsi.mathcore import RngStream, bessel_j0, sample_cn
@@ -61,13 +59,13 @@ class TestAutocorrelation:
 class TestAdvance:
     def test_alpha_one_is_static(self, params):
         h = sample_cn((2, 2), 1.0, RngStream(3, 0).generator())
-        out = advance(h, 1.0, params, RngStream(3, 1))
+        out = advance(h, 1.0, params, RngStream(3, 1).generator())
         assert np.allclose(out, h)
 
     def test_alpha_out_of_range(self, params):
         h = np.zeros((2, 2), dtype=complex)
         with pytest.raises(ValueError):
-            advance(h, 1.5, params, RngStream(3, 1))
+            advance(h, 1.5, params, RngStream(3, 1).generator())
 
     def test_alpha_zero_independence(self, params):
         rng = RngStream(11, 0).generator()
@@ -112,7 +110,7 @@ class TestAdvance:
 class TestEstimate:
     def test_perfect_estimation(self, params_perfect):
         h = sample_cn((2, 2), 1.0, RngStream(5, 0).generator())
-        assert np.array_equal(estimate(h, params_perfect, RngStream(5, 1)), h)
+        assert np.array_equal(estimate(h, params_perfect, RngStream(5, 1).generator()), h)
 
     def test_variance_additivity(self, params):
         rng = RngStream(15, 0).generator()
@@ -170,24 +168,28 @@ class TestRegressionDecompose:
         assert abs(lhs - rhs) < 1e-12
 
 
+def trajectory(params, n_blocks, rng, batch=1):
+    """(H_n, H_hat_n) pairs of the channel process: estimate, then one AR(1) step."""
+    alpha = autocorrelation(params, 1.0)
+    h = sample_cn((batch, params.n_r, params.n_t), params.sigma_h2, rng)
+    blocks = []
+    for _ in range(n_blocks):
+        blocks.append((h, estimate(h, params, rng)))
+        h = advance(h, alpha, params, rng)
+    return blocks
+
+
 class TestTrajectory:
     def test_shapes_and_length(self, params):
-        blocks = list(generate_trajectory(params, 5, RngStream(19, 0)))
+        blocks = trajectory(params, 5, RngStream(19, 0).generator(), batch=3)
         assert len(blocks) == 5
         for h, h_hat in blocks:
-            assert h.shape == (2, 2)
-            assert h_hat.shape == (2, 2)
+            assert h.shape == (3, 2, 2)
+            assert h_hat.shape == (3, 2, 2)
 
     def test_determinism(self, params):
-        a = list(generate_trajectory(params, 4, RngStream(20, 0)))
-        b = list(generate_trajectory(params, 4, RngStream(20, 0)))
+        a = trajectory(params, 4, RngStream(20, 0).generator())
+        b = trajectory(params, 4, RngStream(20, 0).generator())
         for (h1, e1), (h2, e2) in zip(a, b):
             assert np.array_equal(h1, h2)
             assert np.array_equal(e1, e2)
-
-
-def test_pilot_error_variance_helper(params):
-    # interpretation helper: sigma_e2 = N_t sigma_0^2 / (rho L A^2)
-    assert pilot_error_variance(params, 0.1, 100, 0.5) == pytest.approx(2 / (0.1 * 100 * 0.5))
-    with pytest.raises(ValueError):
-        pilot_error_variance(params, 0.0, 100, 0.5)

@@ -5,26 +5,28 @@ import pytest
 from diffcsi.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
 from diffcsi.harness import (
     ExperimentConfig,
-    interval_from_budget,
     load_config_file,
     parse_config_value,
     render_csv,
     run_scenario,
 )
+from diffcsi.ratedist import FeedbackBudget
 
 
 class TestIntervalFromBudget:
+    """fig5 takes each rate's feedback interval from FeedbackBudget.from_rate."""
+
     def test_examples(self):
-        assert interval_from_budget(4, 2) == 2
-        assert interval_from_budget(5, 2) == 3
-        assert interval_from_budget(0, 3) == 0
-        assert interval_from_budget(1, 0.5) == 2
+        assert FeedbackBudget.from_rate(4, 2).t_blocks == 2
+        assert FeedbackBudget.from_rate(5, 2).t_blocks == 3
+        assert FeedbackBudget.from_rate(0, 3).t_blocks == 0
+        assert FeedbackBudget.from_rate(1, 0.5).t_blocks == 2
 
     def test_invalid(self):
         with pytest.raises(ValueError):
-            interval_from_budget(4, 0)
+            FeedbackBudget.from_rate(4, 0)
         with pytest.raises(ValueError):
-            interval_from_budget(-1, 2)
+            FeedbackBudget.from_rate(-1, 2)
 
 
 class TestRenderCsv:
@@ -181,6 +183,12 @@ class TestCli:
         ["capacity", "--set", "sigma_h2=nan"],
         ["capacity", "--set", "snr_db=nan"],
         ["rate", "--set", "d_list=0.1 -1"],
+        ["rate", "--set", "pilot_fraction=5"],
+        ["capacity", "--trials", "1"],
+        ["lloyd-sim", "--set", "lloyd_sessions=0"],
+        ["lloyd-sim", "--set", "lloyd_sessions=1"],
+        ["lloyd-sim", "--set", "r_max=0"],
+        ["lloyd-sim", "--set", "lloyd_rounds=0"],
     ])
     def test_invalid_config_exits_2(self, argv, capsys):
         rc = main(argv)

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from diffcsi.channel import ChannelParams, autocorrelation
 from diffcsi.ratedist import (
-    DistortionPoint,
     FeedbackBudget,
     RateDistortionError,
     causal_distortion,
@@ -294,9 +293,3 @@ class TestBudgetTypes:
             FeedbackBudget(c_fb=0.0, r_bits=1, t_blocks=1)
         with pytest.raises(ValueError):
             FeedbackBudget(c_fb=1.0, r_bits=-1, t_blocks=1)
-
-    def test_distortion_point(self, params):
-        pt = DistortionPoint.per_entry(0.1, params)
-        assert pt.big_d == pytest.approx(0.4)
-        with pytest.raises(ValueError):
-            DistortionPoint.per_entry(-0.1, params)
