@@ -207,13 +207,10 @@ def _scenario_fig5(cfg: ExperimentConfig):
             ccfg, budget, n_samples=max(cfg.lloyd_training, 100 * 2 ** r_bits),
             seed=cfg.seed + 7 * r_bits, rounds=cfg.lloyd_rounds,
         )
-        # each session's first two periods are its warm-up
-        caps = [
-            np.mean(lloydfb.run_feedback_session(
-                ccfg, budget, cb, n_blocks=12 * t, seed=cfg.seed + 10007 * r_bits + s,
-            )[2 * t:])
-            for s in range(cfg.lloyd_sessions)
-        ]
+        seeds = [cfg.seed + 10007 * r_bits + s for s in range(cfg.lloyd_sessions)]
+        per_block = lloydfb.run_feedback_session(ccfg, budget, cb, n_blocks=12 * t, seeds=seeds)
+        # drop two warm-up periods; a contiguous row per session keeps np.mean's sum order
+        caps = np.ascontiguousarray(per_block[2 * t:].T).mean(axis=1)
         c_lloyd = float(np.mean(caps))
         stderr = float(np.std(caps, ddof=1) / math.sqrt(len(caps)))
         rows.append([t, c_theory, c_lloyd, stderr])

@@ -33,6 +33,8 @@ __all__ = [
 ]
 
 MAX_RATE_BITS = 16  # exhaustive codeword search is 2^R per sample
+NEAREST_BLOCK = 1024  # samples per GEMM block of the codeword search
+_REFILL = 4096  # normals drawn per generator refill of a batched session
 
 CODEBOOK_FORMAT_VERSION = 1
 
@@ -57,20 +59,31 @@ def _flatten(mats: np.ndarray) -> np.ndarray:
 
 
 def _nearest(flat_samples: np.ndarray, flat_entries: np.ndarray) -> np.ndarray:
-    """Index of the nearest codeword (squared Frobenius, lowest index wins)."""
-    # |s - c|^2 = |s|^2 - 2 Re<s, c> + |c|^2; |s|^2 is constant per sample
-    cross = flat_samples @ flat_entries.conj().T
-    d2 = np.sum(np.abs(flat_entries) ** 2, axis=1)[None, :] - 2.0 * cross.real
-    return np.argmin(d2, axis=1)
+    """Index of the nearest codeword (squared Frobenius, lowest index wins).
+
+    Each codeword scores |c|^2 - 2 Re<s, c>, as |s|^2 is constant per sample;
+    Re<s, c> is one real GEMM of [re, im] stacked rows per NEAREST_BLOCK samples.
+    """
+    s = np.concatenate([flat_samples.real, flat_samples.imag], axis=1)
+    neg2c = -2.0 * np.concatenate([flat_entries.real, flat_entries.imag], axis=1).T
+    c2 = np.sum(np.abs(flat_entries) ** 2, axis=1)
+    labels = np.empty(len(s), dtype=np.intp)
+    for i in range(0, len(s), NEAREST_BLOCK):
+        score = s[i:i + NEAREST_BLOCK] @ neg2c
+        score += c2
+        labels[i:i + NEAREST_BLOCK] = score.argmin(axis=1)
+    return labels
 
 
 def quantize(h_d: np.ndarray, cb: Codebook):
-    """Nearest-codeword quantization of one differential matrix."""
+    """Nearest-codeword quantization over any leading batch shape: returns
+    (indices, codewords), or (int, matrix) for a single matrix."""
     h_d = check_finite(np.asarray(h_d), "h_d")
-    if h_d.shape != cb.entries.shape[1:]:
+    if h_d.shape[-2:] != cb.entries.shape[1:]:
         raise ValueError(f"shape mismatch: {h_d.shape} vs {cb.entries.shape[1:]}")
-    idx = int(_nearest(h_d.reshape(1, -1), _flatten(cb.entries))[0])
-    return idx, cb.entries[idx]
+    flat_entries = _flatten(cb.entries)
+    idx = _nearest(h_d.reshape(-1, flat_entries.shape[1]), flat_entries).reshape(h_d.shape[:-2])
+    return (int(idx) if idx.ndim == 0 else idx), cb.entries[idx]
 
 
 def train_codebook(
@@ -108,19 +121,18 @@ def train_codebook(
     prev = math.inf
     for it in range(max_iters):
         labels = _nearest(flat, centers)
-        err = flat - centers[labels]
-        dist = float(np.mean(np.abs(err) ** 2) * dim)  # per-sample squared error
+        err2 = np.abs(flat - centers[labels]) ** 2
+        dist = float(np.mean(err2) * dim)  # per-sample squared error
         history.append(dist)
         if dist > prev * (1.0 + 1e-12):
             raise RuntimeError(
                 f"Lloyd distortion increased at iteration {it}: {prev} -> {dist}")
         improved = prev - dist
         counts = np.bincount(labels, minlength=n_entries)
-        cell_dist = np.zeros(n_entries)
-        np.add.at(cell_dist, labels, np.sum(np.abs(err) ** 2, axis=1))
-        # centroid update
-        sums = np.zeros_like(centers)
-        np.add.at(sums, labels, flat)
+        cell_dist = np.bincount(labels, np.sum(err2, axis=1), n_entries)
+        # centroid update, one weighted bincount per real coordinate
+        sums = np.stack([np.bincount(labels, col, n_entries) for col in flat.view(float).T],
+                        axis=1).view(complex)
         nonempty = counts > 0
         centers[nonempty] = sums[nonempty] / counts[nonempty, None]
         # empty-cell repair: split the worst cell's centroid
@@ -172,24 +184,41 @@ def _codebook_quantizer(cb: Codebook, record: list | None = None):
 
     Each pre-quantization difference H_hat - H_bar is appended to record.
     """
-    flat_entries = _flatten(cb.entries)
-
     def quantize_step(h_hat, h_bar):
         h_d = h_hat - h_bar                                    # step 1
         if record is not None:
             record.append(h_d)
         # steps 2-4: nearest index, sent losslessly, accumulated on both sides
-        return h_bar + cb.entries[_nearest(_flatten(h_d), flat_entries)]
+        return h_bar + quantize(h_d, cb)[1]
 
     return quantize_step
 
 
-def _session(cfg: CapacityConfig, t: int, quantize, n_blocks: int, seed: int) -> np.ndarray:
-    """One feedback session (batch of one) on its own seeded generator."""
+class _RowStreams:
+    """One private generator RngStream(seed, 0) per batch row: standard_normal
+    fills row i with generator i's next prod(shape[1:]) normals, which are
+    the values a batch-of-one run draws, since a generator's normals do not
+    depend on how its draws are split.  Rows refill _REFILL at a time."""
+
+    def __init__(self, seeds):
+        self._gens = [RngStream(s, 0).generator() for s in seeds]
+        self._buf = np.empty((len(self._gens), 0))
+
+    def standard_normal(self, shape) -> np.ndarray:
+        k = math.prod(shape[1:])
+        while self._buf.shape[1] < k:
+            fresh = [g.standard_normal(_REFILL) for g in self._gens]
+            self._buf = np.concatenate([self._buf, np.stack(fresh)], axis=1)
+        out, self._buf = self._buf[:, :k], self._buf[:, k:]
+        return out.reshape(shape)
+
+
+def _sessions(cfg: CapacityConfig, t: int, quantize_step, n_blocks: int, seeds) -> np.ndarray:
+    """Feedback sessions, one per seed, as the rows of one batched loop."""
     p = cfg.params
-    rng = RngStream(seed, 0).generator()
-    h = sample_cn((1, p.n_r, p.n_t), p.sigma_h2, rng)
-    return feedback_loop(cfg, t, n_blocks, 0, quantize, h, rng)[:, 0]
+    rng = _RowStreams(seeds)
+    h = sample_cn((len(seeds), p.n_r, p.n_t), p.sigma_h2, rng)
+    return feedback_loop(cfg, t, n_blocks, 0, quantize_step, h, rng)
 
 
 def run_feedback_session(
@@ -197,9 +226,10 @@ def run_feedback_session(
     budget: FeedbackBudget,
     cb: Codebook,
     n_blocks: int,
-    seed: int,
+    seeds,
 ) -> np.ndarray:
-    """Per-block capacities (n_blocks,) of the differential feedback protocol.
+    """Per-block capacities (n_blocks, len(seeds)) of the differential
+    feedback protocol, one session per seed on RngStream(seed, 0).
 
     Epochs occur at block indices divisible by T.  The transmitter-side
     reconstruction H_bar_n = H_bar_{n-1} + C_d is exact (lossless index
@@ -215,7 +245,7 @@ def run_feedback_session(
         )
     if n_blocks < t:
         raise ValueError("n_blocks must be >= t_blocks")
-    return _session(cfg, t, _codebook_quantizer(cb), n_blocks, seed)
+    return _sessions(cfg, t, _codebook_quantizer(cb), n_blocks, seeds)
 
 
 def bootstrap_codebook(
@@ -239,15 +269,12 @@ def bootstrap_codebook(
     samples = open_loop_training_samples(p, budget, n_samples, RngStream(seed, 1))
     cb = train_codebook(samples, r_bits, max_iters=max_iters, rel_tol=rel_tol, seed=seed)
     for rnd in range(1, rounds):
-        collected = []
-        s = 0
-        while len(collected) < n_samples:
-            diffs = []
-            _session(cfg, t, _codebook_quantizer(cb, diffs), n_blocks=65 * t,
-                     seed=(seed * 1000 + rnd) * 131 + s)
-            collected += diffs[1:]                  # skip the cold-start epoch
-            s += 1
-        cb = train_codebook(np.concatenate(collected), r_bits, max_iters=max_iters,
+        # 64 epochs per session after the cold start, stacked session-major
+        diffs = []
+        seeds = [(seed * 1000 + rnd) * 131 + s for s in range(-(-n_samples // 64))]
+        _sessions(cfg, t, _codebook_quantizer(cb, diffs), 65 * t, seeds)
+        collected = np.stack(diffs[1:], axis=1).reshape(-1, p.n_r, p.n_t)
+        cb = train_codebook(collected, r_bits, max_iters=max_iters,
                             rel_tol=rel_tol, seed=seed + rnd)
     cb.training_meta["interval"] = t
     return cb
@@ -260,8 +287,8 @@ def _params_hash(params: ChannelParams) -> str:
 
 
 def save_codebook(path, cb: Codebook, params: ChannelParams, t_blocks: int) -> None:
-    """Textual codebook format: one JSON header line, then one line per
-    codeword with row-major 're im' pairs separated by spaces."""
+    """Textual codebook format: one JSON header line, training metadata under
+    "training_meta", then one line per codeword of row-major 're im' pairs."""
     n, n_r, n_t = cb.entries.shape
     header = {
         "version": CODEBOOK_FORMAT_VERSION,
@@ -270,6 +297,7 @@ def save_codebook(path, cb: Codebook, params: ChannelParams, t_blocks: int) -> N
         "n_t": n_t,
         "t_blocks": t_blocks,
         "params_hash": _params_hash(params),
+        "training_meta": cb.training_meta,
     }
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(header, sort_keys=True) + "\n")
@@ -290,5 +318,5 @@ def load_codebook(path) -> tuple[Codebook, dict]:
             z = np.array(vals[0::2]) + 1j * np.array(vals[1::2])
             entries.append(z.reshape(n_r, n_t))
     cb = Codebook(rate_bits=header["rate_bits"], entries=np.array(entries),
-                  training_meta={"loaded_from": str(path)})
+                  training_meta={**header.get("training_meta", {}), "loaded_from": str(path)})
     return cb, header

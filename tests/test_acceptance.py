@@ -235,11 +235,8 @@ def test_10_lloyd_converse():
         hist = cb.training_meta["distortion_history"]
         assert all(b <= a * (1 + 1e-12) for a, b in zip(hist, hist[1:]))
         held = open_loop_training_samples(PARAMS, budget, 5000, RngStream(12, r_bits))
-        errs = []
-        for s in held:
-            _, word = quantize(s, cb)
-            errs.append(np.mean(np.abs(s - word) ** 2))
-        d_emp = float(np.mean(errs))
+        _, words = quantize(held, cb)
+        d_emp = float(np.mean(np.abs(held - words) ** 2))
         alpha = autocorrelation(PARAMS, t)
         d_bound = distortion_from_rate(PARAMS, alpha, r_bits)
         assert d_emp >= 0.95 * d_bound, (r_bits, d_emp, d_bound)
@@ -259,11 +256,9 @@ def test_11_lloyd_capacity_convergence():
         cb = bootstrap_codebook(CAP_CFG, budget,
                                 n_samples=max(20000, 100 * 2 ** r_bits),
                                 seed=1200 + r_bits, rounds=1)
-        caps = []
-        for s in range(50):
-            caps.append(np.mean(run_feedback_session(
-                CAP_CFG, budget, cb, n_blocks=12 * t, seed=1300 * r_bits + s)[2 * t:]))
-        c_lloyd = float(np.mean(caps))
+        per_block = run_feedback_session(CAP_CFG, budget, cb, n_blocks=12 * t,
+                                         seeds=[1300 * r_bits + s for s in range(50)])
+        c_lloyd = float(np.mean([np.mean(col) for col in per_block[2 * t:].T]))
         gaps.append(c_theory - c_lloyd)
     assert gaps[0] > 0, gaps
     smooth = [np.mean(gaps[i:i + 3]) for i in range(len(gaps) - 2)]

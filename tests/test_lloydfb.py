@@ -1,7 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diffcsi import lloydfb
 from diffcsi.capacity import _capacity_batch, _held_precoder
@@ -68,7 +71,7 @@ class TestTrainCodebook:
     def test_converse_bound_on_held_out(self, params, budget, codebook):
         held_out = open_loop_training_samples(params, budget, 20000, RngStream(62, 0))
         flat = held_out.reshape(len(held_out), -1)
-        idx = np.array([quantize(s, codebook)[0] for s in held_out[:2000]])
+        idx, _ = quantize(held_out[:2000], codebook)
         err = held_out[:2000] - codebook.entries[idx]
         d_emp = np.mean(np.abs(err) ** 2)
         alpha = autocorrelation(params, budget.t_blocks)
@@ -127,6 +130,37 @@ class TestQuantize:
         with pytest.raises(ValueError):
             quantize(np.zeros((3, 3), complex), codebook)
 
+    def test_batch_matches_single_calls(self, codebook):
+        batch = sample_cn((3, 5, 2, 2), 1.0, RngStream(64, 0).generator())
+        idx, words = quantize(batch, codebook)
+        assert idx.shape == (3, 5) and words.shape == (3, 5, 2, 2)
+        for i in np.ndindex(3, 5):
+            one_idx, one_word = quantize(batch[i], codebook)
+            assert isinstance(one_idx, int) and idx[i] == one_idx
+            assert np.array_equal(words[i], one_word)
+
+
+class TestNearest:
+    @given(n_r=st.integers(min_value=1, max_value=3),
+           n_t=st.integers(min_value=1, max_value=3),
+           rate_bits=st.integers(min_value=1, max_value=8),
+           n=st.sampled_from([1, 300, lloydfb.NEAREST_BLOCK - 1, lloydfb.NEAREST_BLOCK,
+                              lloydfb.NEAREST_BLOCK + 1, 2 * lloydfb.NEAREST_BLOCK + 37]),
+           n_dup=st.integers(min_value=0, max_value=4),
+           seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_bruteforce_oracle(self, n_r, n_t, rate_bits, n, n_dup, seed):
+        rng = np.random.default_rng(seed)
+        n_entries, dim = 2 ** rate_bits, n_r * n_t
+        entries = rng.standard_normal((n_entries, dim)) + 1j * rng.standard_normal((n_entries, dim))
+        # copies of lower-index codewords at higher indices: the lower must win
+        for dst in rng.integers(1, n_entries, n_dup):
+            entries[dst] = entries[rng.integers(0, dst)]
+        samples = rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))
+        samples[::7] = entries[rng.integers(0, n_entries, len(samples[::7]))]
+        d2 = np.stack([np.sum(np.abs(samples - c) ** 2, axis=1) for c in entries], axis=1)
+        assert np.array_equal(lloydfb._nearest(samples, entries), np.argmin(d2, axis=1))
+
 
 def recorded_session(cfg, budget, cb, n_blocks, seed):
     """A codebook session whose quantizer logs (H_hat, H_bar before, H_bar after)."""
@@ -138,13 +172,13 @@ def recorded_session(cfg, budget, cb, n_blocks, seed):
         log.append((h_hat[0], h_bar[0], out[0]))
         return out
 
-    return lloydfb._session(cfg, budget.t_blocks, recording, n_blocks, seed), log
+    return lloydfb._sessions(cfg, budget.t_blocks, recording, n_blocks, [seed])[:, 0], log
 
 
 class TestFeedbackSession:
     def test_shared_reconstruction_identical(self, cap_cfg, budget, codebook):
         caps, log = recorded_session(cap_cfg, budget, codebook, n_blocks=40, seed=9)
-        assert np.array_equal(caps, run_feedback_session(cap_cfg, budget, codebook, 40, 9))
+        assert np.array_equal(caps, run_feedback_session(cap_cfg, budget, codebook, 40, [9])[:, 0])
         # replay the transmitter side from the fed-back indices alone
         h_bar_tx = np.zeros((2, 2), dtype=complex)
         for h_hat, before, after in log:
@@ -177,11 +211,11 @@ class TestFeedbackSession:
     def test_budget_violation_rejected(self, cap_cfg, codebook):
         bad = FeedbackBudget(c_fb=0.5, r_bits=4, t_blocks=4)
         with pytest.raises(ValueError):
-            run_feedback_session(cap_cfg, bad, codebook, n_blocks=40, seed=1)
+            run_feedback_session(cap_cfg, bad, codebook, n_blocks=40, seeds=[1])
 
     def test_session_shorter_than_interval_rejected(self, cap_cfg, budget, codebook):
         with pytest.raises(ValueError):
-            run_feedback_session(cap_cfg, budget, codebook, n_blocks=2, seed=1)
+            run_feedback_session(cap_cfg, budget, codebook, n_blocks=2, seeds=[1])
 
     def test_epoch_distortion_respects_converse(self, params, cap_cfg, budget, codebook):
         dists = []
@@ -195,10 +229,23 @@ class TestFeedbackSession:
         assert np.mean(dists) >= 0.95 * d_bound
 
     def test_determinism(self, cap_cfg, budget, codebook):
-        a = run_feedback_session(cap_cfg, budget, codebook, n_blocks=20, seed=5)
-        b = run_feedback_session(cap_cfg, budget, codebook, n_blocks=20, seed=5)
-        assert a.shape == (20,)
+        a = run_feedback_session(cap_cfg, budget, codebook, n_blocks=20, seeds=[5])
+        b = run_feedback_session(cap_cfg, budget, codebook, n_blocks=20, seeds=[5])
+        assert a.shape == (20, 1)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("rate_bits", [1, 4])
+    def test_batch_equals_single_sessions(self, params, cap_cfg, rate_bits):
+        budget = FeedbackBudget(c_fb=1.0, r_bits=rate_bits, t_blocks=4)
+        samples = open_loop_training_samples(params, budget, 1000, RngStream(65, 0))
+        cb = train_codebook(samples, rate_bits=rate_bits, seed=8)
+        # 300 blocks of 16 normals each cross a generator refill
+        seeds = [3, 17, 17, 40, 41]
+        batch = run_feedback_session(cap_cfg, budget, cb, n_blocks=300, seeds=seeds)
+        assert batch.shape == (300, len(seeds))
+        for j, s in enumerate(seeds):
+            single = run_feedback_session(cap_cfg, budget, cb, n_blocks=300, seeds=[s])
+            assert np.array_equal(batch[:, j], single[:, 0])
 
 
 class TestBootstrap:
@@ -206,6 +253,32 @@ class TestBootstrap:
         cb = bootstrap_codebook(cap_cfg, budget, n_samples=2000, seed=3, rounds=2)
         assert len(cb.entries) == 2 ** budget.r_bits
         assert cb.training_meta["interval"] == budget.t_blocks
+
+    def test_closed_loop_round_shape_and_determinism(self, cap_cfg, budget, monkeypatch):
+        train = lloydfb.train_codebook
+        rounds = []
+
+        def capturing(samples, *args, **kwargs):
+            cb = train(samples, *args, **kwargs)
+            rounds.append((samples, cb))
+            return cb
+
+        monkeypatch.setattr(lloydfb, "train_codebook", capturing)
+        a = bootstrap_codebook(cap_cfg, budget, n_samples=1000, seed=4, rounds=2)
+        b = bootstrap_codebook(cap_cfg, budget, n_samples=1000, seed=4, rounds=2)
+        assert a.entries.shape == (16, 2, 2)
+        assert np.array_equal(a.entries, b.entries)
+        # round 1 trains on ceil(1000 / 64) sessions of 64 post-cold-start
+        # epochs, session-major, each as a single session would record it
+        t = budget.t_blocks
+        assert a.training_meta["training_size"] == 16 * 64
+        expected = []
+        for s in range(16):
+            diffs = []
+            lloydfb._sessions(cap_cfg, t, lloydfb._codebook_quantizer(rounds[0][1], diffs),
+                              65 * t, [(4 * 1000 + 1) * 131 + s])
+            expected += diffs[1:]
+        assert np.array_equal(rounds[1][0], np.concatenate(expected))
 
 
 class TestSerialization:
@@ -217,6 +290,18 @@ class TestSerialization:
         assert np.allclose(loaded.entries, codebook.entries, atol=1e-15)
         assert header["t_blocks"] == budget.t_blocks
         assert header["n_r"] == 2 and header["n_t"] == 2
+        assert loaded.training_meta == {**codebook.training_meta, "loaded_from": str(path)}
+
+    def test_header_without_training_meta_loads(self, tmp_path, params, budget, codebook):
+        path = tmp_path / "cb.txt"
+        save_codebook(path, codebook, params, budget.t_blocks)
+        lines = path.read_text().splitlines()
+        header = json.loads(lines[0])
+        del header["training_meta"]
+        path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+        loaded, _ = load_codebook(path)
+        assert loaded.training_meta == {"loaded_from": str(path)}
+        assert np.array_equal(loaded.entries, codebook.entries)
 
     def test_version_check(self, tmp_path, params, budget, codebook):
         path = tmp_path / "cb.txt"
