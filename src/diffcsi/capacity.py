@@ -243,13 +243,30 @@ def feedback_loop(cfg: CapacityConfig, t: int, n_blocks: int, discard: int, quan
     channel.estimate and channel.advance.  Returns the per-block
     capacities (n_blocks - discard, B) of the blocks after the first
     `discard`.
+
+    Only blocks something reads are visited: the epochs and the counted
+    blocks.  Between two visited blocks k apart the channel takes one exact
+    AR(1) jump with coefficient alpha^k, so a discarded cold start draws
+    only at its epochs; with discard = 0 every block is visited.
     """
+    if t < 1:
+        raise ValueError(f"t must be >= 1, got {t}")
+    if discard < 0:
+        raise ValueError(f"discard must be >= 0, got {discard}")
+    if n_blocks <= discard:
+        raise ValueError(f"n_blocks ({n_blocks}) must exceed discard ({discard})")
     p = cfg.params
     alpha = autocorrelation(p, 1.0)
     h_bar = np.zeros_like(h)
     prec = held = None
     caps = []
+    last = 0
     for n in range(n_blocks):
+        if n % t and n < discard:
+            continue
+        if n > last:
+            h = advance(h, alpha ** (n - last), p, rng)
+            last = n
         h_hat = estimate(h, p, rng)
         if n % t == 0:
             h_bar = quantize(h_hat, h_bar)
@@ -258,7 +275,6 @@ def feedback_loop(cfg: CapacityConfig, t: int, n_blocks: int, discard: int, quan
                 prec = held
         if n >= discard:
             caps.append(_capacity_batch(h_hat, prec, cfg))
-        h = advance(h, alpha, p, rng)
     return np.stack(caps)
 
 
@@ -270,21 +286,20 @@ def _simulate_chunk(args):
     t = max(1, budget.t_blocks)
     shape = (n_trials, p.n_r, p.n_t)
 
-    h = sample_cn(shape, p.sigma_h2, rng)
     if mode == "simulate":
         # the Gaussian test channel of per-entry variance d; the cold-start
         # period is excluded from the statistics
         def gaussian_quantizer(h_hat, h_bar):
             return h_hat - sample_cn(shape, d, rng)
 
+        h = sample_cn(shape, p.sigma_h2, rng)
         return feedback_loop(cfg, t, (periods + 1) * t, t, gaussian_quantizer, h, rng).mean(axis=0)
     # independent per-block snapshots with the effective distortion d
     per_block = []
     for _ in range(periods):
-        h_hat = estimate(h, p, rng)
+        h_hat = estimate(sample_cn(shape, p.sigma_h2, rng), p, rng)
         prec = _held_precoder(h_hat - sample_cn(shape, d, rng), cfg)
         per_block.append(_capacity_batch(h_hat, prec, cfg))
-        h = sample_cn(shape, p.sigma_h2, rng)
     return np.stack(per_block).mean(axis=0)
 
 

@@ -87,6 +87,8 @@ def advance(
     W is a fresh i.i.d. CN(0, sigma_h2) draw, so the stationary per-entry
     variance sigma_h2 is preserved.  This is the only place the fading
     process steps forward; any leading batch axes evolve independently.
+    alpha may be a k-step coefficient alpha_1^k: k steps of the chain
+    equal one step with alpha_1^k in law, so one call jumps k blocks.
     """
     if abs(alpha) > 1:
         raise ValueError(f"|alpha| must be <= 1, got {alpha}")

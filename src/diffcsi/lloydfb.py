@@ -58,6 +58,15 @@ def _flatten(mats: np.ndarray) -> np.ndarray:
     return mats.reshape(len(mats), -1)
 
 
+def _abs2(z: np.ndarray) -> np.ndarray:
+    """|z|^2 entrywise, without the hypot that np.abs(z) ** 2 computes first.
+
+    Passed in as a temporary, z is freed on return instead of staying alive
+    through the caller's next nearest-codeword search (peak memory).
+    """
+    return z.real ** 2 + z.imag ** 2
+
+
 def _nearest(flat_samples: np.ndarray, flat_entries: np.ndarray) -> np.ndarray:
     """Index of the nearest codeword (squared Frobenius, lowest index wins).
 
@@ -121,7 +130,7 @@ def train_codebook(
     prev = math.inf
     for it in range(max_iters):
         labels = _nearest(flat, centers)
-        err2 = np.abs(flat - centers[labels]) ** 2
+        err2 = _abs2(flat - centers[labels])
         dist = float(np.mean(err2) * dim)  # per-sample squared error
         history.append(dist)
         if dist > prev * (1.0 + 1e-12):

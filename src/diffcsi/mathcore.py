@@ -61,15 +61,17 @@ class RngStream:
         )
 
 
-def sample_cn(shape, variance: float, rng: np.random.Generator) -> np.ndarray:
-    """I.i.d. CN(0, variance) draw of any shape from the generator rng.
+def sample_cn(shape: tuple, variance: float, rng: np.random.Generator) -> np.ndarray:
+    """I.i.d. CN(0, variance) draw of the shape tuple from the generator rng.
 
     ``variance`` is the per-entry E|x|^2; real and imaginary parts carry
-    variance/2 each.  Zero variance returns zeros and draws nothing.
+    variance/2 each.  Zero variance returns zeros and draws nothing.  One
+    standard_normal((*shape, 2)) call supplies interleaved [re, im] pairs,
+    viewed as complex without a copy.
     """
     if variance < 0:
         raise ValueError(f"variance must be >= 0, got {variance}")
     if variance == 0.0:
         return np.zeros(shape, dtype=complex)
-    scale = math.sqrt(variance / 2.0)
-    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    pairs = math.sqrt(variance / 2.0) * rng.standard_normal((*shape, 2))
+    return pairs.view(complex)[..., 0]

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diffcsi import capacity
 from diffcsi.capacity import (
     CapacityConfig,
     _capacity_batch,
@@ -338,6 +339,74 @@ class TestFeedbackLoop:
         assert len(calls) == 4 and np.all(calls[0] == 0)
         again, _ = run(21)
         assert np.array_equal(caps, again)
+
+    @pytest.mark.parametrize("t, n_blocks, discard", [(0, 10, 4), (3, 10, -1),
+                                                      (3, 4, 4), (3, 2, 4)])
+    def test_bad_arguments_rejected(self, params, cap_cfg, t, n_blocks, discard):
+        h = np.zeros((1, 2, 2), dtype=complex)
+        with pytest.raises(ValueError):
+            feedback_loop(cap_cfg, t, n_blocks, discard, lambda h_hat, h_bar: h_hat, h,
+                          RngStream(1, 0).generator())
+
+
+class _CountingRng:
+    """A generator wrapper that counts the standard normals drawn."""
+
+    def __init__(self, gen):
+        self.gen, self.normals = gen, 0
+
+    def standard_normal(self, shape):
+        out = self.gen.standard_normal(shape)
+        self.normals += out.size
+        return out
+
+
+def _spy(monkeypatch, name):
+    """Replace capacity.<name> by a pass-through that logs each call's args."""
+    calls, real = [], getattr(capacity, name)
+
+    def logged(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(capacity, name, logged)
+    return calls
+
+
+class TestDrawBudget:
+    @pytest.mark.parametrize("mode, t, periods, expect", [
+        ("simulate", 1, 1, 48), ("simulate", 7, 1, 144), ("analytic", 7, 2, 48)])
+    def test_chunk_normals(self, cap_cfg, monkeypatch, mode, t, periods, expect):
+        # normals per trial, 8 per 2x2 draw.  simulate: the initial channel,
+        # T + 1 visited blocks' estimates, one jump to block T and T - 1
+        # steps after it, and the test channel's noise at epochs 0 and T.
+        # analytic: a snapshot, its estimate and the noise per period.
+        counter = _CountingRng(RngStream(1, 0).generator())
+        monkeypatch.setattr(capacity.RngStream, "generator", lambda self: counter)
+        budget = FeedbackBudget(c_fb=1.0, r_bits=t, t_blocks=t)
+        b = 3
+        out = capacity._simulate_chunk((cap_cfg, budget, 0.2, b, 1, 0, periods, mode))
+        assert out.shape == (b,)
+        assert counter.normals == expect * b
+
+    def test_no_discard_estimates_every_block(self, params, cap_cfg, monkeypatch):
+        estimates, advances = _spy(monkeypatch, "estimate"), _spy(monkeypatch, "advance")
+        rng = RngStream(2, 0).generator()
+        h = sample_cn((4, 2, 2), params.sigma_h2, rng)
+        caps = feedback_loop(cap_cfg, 3, 10, 0, lambda h_hat, h_bar: h_hat, h, rng)
+        assert caps.shape == (10, 4)
+        assert len(estimates) == 10
+        # one single step between consecutive blocks, none after the last
+        assert [a[1] for a in advances] == [autocorrelation(params, 1.0)] * 9
+
+    def test_discarded_cold_start_is_jumped(self, params, cap_cfg, monkeypatch):
+        advances = _spy(monkeypatch, "advance")
+        rng = RngStream(3, 0).generator()
+        h = sample_cn((4, 2, 2), params.sigma_h2, rng)
+        caps = feedback_loop(cap_cfg, 5, 10, 5, lambda h_hat, h_bar: h_hat, h, rng)
+        assert caps.shape == (5, 4)
+        alpha = autocorrelation(params, 1.0)
+        assert [a[1] for a in advances] == [alpha**5] + [alpha] * 4
 
 
 def test_capacity_config_validation(params):

@@ -106,6 +106,20 @@ class TestAdvance:
             se = 1.0 / math.sqrt(n)
             assert abs(corr - alpha**m) < 4 * se
 
+    @pytest.mark.parametrize("k", [1, 5, 40])
+    def test_k_step_jump(self, params, k):
+        # one advance with alpha^k has the law of k single steps; at k = 40
+        # autocorrelation(params, k) would be about 0.04, not 0.97
+        rng = RngStream(15, k).generator()
+        n = 10**5
+        alpha = autocorrelation(params, 1.0)
+        h0 = sample_cn((n, 1, 1), params.sigma_h2, rng)
+        h = advance(h0, alpha**k, params, rng)
+        prod = np.real(h * np.conj(h0)).ravel() / params.sigma_h2
+        assert abs(prod.mean() - alpha**k) < 4 * prod.std() / math.sqrt(n)
+        p2 = np.abs(h).ravel() ** 2
+        assert abs(p2.mean() - params.sigma_h2) < 4 * p2.std() / math.sqrt(n)
+
 
 class TestEstimate:
     def test_perfect_estimation(self, params_perfect):
