@@ -9,8 +9,8 @@ channels use closed forms for P and for the capacity; every other shape
 uses a thin SVD and two slogdet calls, which also serve as the test oracle
 for the 2x2 path.  One causal feedback loop serves both the Gaussian test
 channel of the theory and the Lloyd codebook; the Monte Carlo evaluator
-runs it vectorized over trials and chunked so results are independent of
-worker count.
+runs it vectorized over trials and over a list of distortions that share
+one draw, and chunked so results are independent of worker count.
 """
 
 from __future__ import annotations
@@ -148,18 +148,20 @@ def block_capacity(h_hat: np.ndarray, h_bar: np.ndarray, cfg: CapacityConfig) ->
 
 
 def _held_precoder(h_bar: np.ndarray, cfg: CapacityConfig) -> np.ndarray:
-    """Batched precoder Gram P = V Z^2 V^+ (B, nt, nt) from h_bar (B, nr, nt).
+    """Batched precoder Gram P = V Z^2 V^+ (..., nt, nt) from h_bar (..., nr, nt).
 
     The capacity depends on the precoder V diag(z) only through P.  2x2
-    channels take the closed form; every other shape takes the SVD.
+    channels take the closed form; every other shape takes the SVD.  Any
+    leading axes run as one batch of rows.
     """
-    if _is_2x2(h_bar):
-        return _closed_precoder_2x2(h_bar, cfg)
-    return _svd_precoder(h_bar, cfg)
+    rows = h_bar.reshape(-1, *h_bar.shape[-2:])
+    p = _closed_precoder_2x2(rows, cfg) if _is_2x2(rows) else _svd_precoder(rows, cfg)
+    return p.reshape(*h_bar.shape[:-2], *p.shape[-2:])
 
 
 def _capacity_batch(h_hat: np.ndarray, p: np.ndarray, cfg: CapacityConfig) -> np.ndarray:
-    """Per-block capacity (B,) for estimates h_hat (B, nr, nt) under precoder P."""
+    """Per-block capacity (..., B) for estimates h_hat (B, nr, nt) under
+    precoders P (..., B, nt, nt); h_hat broadcasts over P's leading axes."""
     if _is_2x2(h_hat):
         return _closed_capacity_2x2(h_hat, p, cfg)
     return _slogdet_capacity(h_hat, p, cfg)
@@ -184,12 +186,12 @@ def _slogdet_capacity(h_hat: np.ndarray, p: np.ndarray, cfg: CapacityConfig) -> 
 
 
 def _gram_2x2(h: np.ndarray):
-    """Diagonal (B, 2) and (0, 1) entry (B,) of G = H^+ H, and |det H|^2 (B,)."""
+    """Diagonal (..., 2) and (0, 1) entry (...) of G = H^+ H, and |det H|^2 (...)."""
     hc = h.conj()
     abs2 = (h * hc).real
-    diag = abs2[:, 0] + abs2[:, 1]
-    off = hc[:, 0, 0] * h[:, 0, 1] + hc[:, 1, 0] * h[:, 1, 1]
-    det = h[:, 0, 0] * h[:, 1, 1] - h[:, 0, 1] * h[:, 1, 0]
+    diag = abs2[..., 0, :] + abs2[..., 1, :]
+    off = hc[..., 0, 0] * h[..., 0, 1] + hc[..., 1, 0] * h[..., 1, 1]
+    det = h[..., 0, 0] * h[..., 1, 1] - h[..., 0, 1] * h[..., 1, 0]
     return diag, off, (det * det.conj()).real
 
 
@@ -217,12 +219,13 @@ def _closed_capacity_2x2(h_hat: np.ndarray, p: np.ndarray, cfg: CapacityConfig) 
 
     F and F + JJ^+ are c I + q JJ^+ and c I + (1+q) JJ^+, so with
     t = tr(JJ^+), D = det(JJ^+) the ratio of determinants is
-    (c^2 + c(1+q) t + (1+q)^2 D) / (c^2 + c q t + q^2 D).
+    (c^2 + c(1+q) t + (1+q)^2 D) / (c^2 + c q t + q^2 D).  G = H_hat^+ H_hat
+    is formed once and broadcast over P's leading axes.
     """
     c, q = _kernel_constants(cfg)
     diag, g12, det2 = _gram_2x2(h_hat)
-    p = p.reshape(len(p), 4)
-    p11, p22, p12 = p[:, 0].real, p[:, 3].real, p[:, 1]
+    p = p.reshape(*p.shape[:-2], 4)
+    p11, p22, p12 = p[..., 0].real, p[..., 3].real, p[..., 1]
     tr = p11 * diag[:, 0] + p22 * diag[:, 1] + 2.0 * (p12 * g12.conj()).real  # tr(P G)
     det = det2 * (p11 * p22 - (p12 * p12.conj()).real)
     den = c * c + (c * q) * tr + (q * q) * det
@@ -241,8 +244,9 @@ def feedback_loop(cfg: CapacityConfig, t: int, n_blocks: int, discard: int, quan
     interval old (the delayed-distortion closed form); the cold-start
     period uses its own epoch's feedback.  The channel moves only through
     channel.estimate and channel.advance.  Returns the per-block
-    capacities (n_blocks - discard, B) of the blocks after the first
-    `discard`.
+    capacities (n_blocks - discard, ..., B) of the blocks after the first
+    `discard`; a quantizer may add leading axes to H_bar, which the
+    capacities keep.
 
     Only blocks something reads are visited: the epochs and the counted
     blocks.  Between two visited blocks k apart the channel takes one exact
@@ -255,11 +259,16 @@ def feedback_loop(cfg: CapacityConfig, t: int, n_blocks: int, discard: int, quan
         raise ValueError(f"discard must be >= 0, got {discard}")
     if n_blocks <= discard:
         raise ValueError(f"n_blocks ({n_blocks}) must exceed discard ({discard})")
+    return np.stack(list(_feedback_blocks(cfg, t, n_blocks, discard, quantize, h, rng)))
+
+
+def _feedback_blocks(cfg, t, n_blocks, discard, quantize, h, rng):
+    """feedback_loop's blocks one at a time: yields each counted block's
+    capacities, so a caller that only averages them need not hold them all."""
     p = cfg.params
     alpha = autocorrelation(p, 1.0)
     h_bar = np.zeros_like(h)
     prec = held = None
-    caps = []
     last = 0
     for n in range(n_blocks):
         if n % t and n < discard:
@@ -274,58 +283,83 @@ def feedback_loop(cfg: CapacityConfig, t: int, n_blocks: int, discard: int, quan
             if prec is None:
                 prec = held
         if n >= discard:
-            caps.append(_capacity_batch(h_hat, prec, cfg))
-    return np.stack(caps)
+            yield _capacity_batch(h_hat, prec, cfg)
 
 
 def _simulate_chunk(args):
-    """One chunk of Monte Carlo trials; pure function of (seed, chunk index)."""
-    cfg, budget, d, n_trials, seed, chunk_id, periods, mode = args
+    """One chunk of Monte Carlo trials; pure function of (seed, chunk index).
+
+    Returns the per-trial capacities (n_d, n_trials), one row per distortion.
+    """
+    cfg, budget, distortions, n_trials, seed, chunk_id, periods, mode = args
     p = cfg.params
     rng = RngStream(seed, chunk_id).generator()
     t = max(1, budget.t_blocks)
     shape = (n_trials, p.n_r, p.n_t)
+    # sample_cn's layout and scaling, sqrt(d / 2) * [re, im], with one draw
+    # of standard normals shared by every distortion d (d-major leading axis)
+    scale = np.sqrt(np.asarray(distortions) / 2.0)[:, None, None, None, None]
+
+    def gaussian_quantizer(h_hat, h_bar):
+        return h_hat - (scale * rng.standard_normal((*shape, 2))).view(complex)[..., 0]
 
     if mode == "simulate":
-        # the Gaussian test channel of per-entry variance d; the cold-start
-        # period is excluded from the statistics
-        def gaussian_quantizer(h_hat, h_bar):
-            return h_hat - sample_cn(shape, d, rng)
-
+        # the Gaussian test channel; the cold-start period is excluded
         h = sample_cn(shape, p.sigma_h2, rng)
-        return feedback_loop(cfg, t, (periods + 1) * t, t, gaussian_quantizer, h, rng).mean(axis=0)
-    # independent per-block snapshots with the effective distortion d
-    per_block = []
-    for _ in range(periods):
-        h_hat = estimate(sample_cn(shape, p.sigma_h2, rng), p, rng)
-        prec = _held_precoder(h_hat - sample_cn(shape, d, rng), cfg)
-        per_block.append(_capacity_batch(h_hat, prec, cfg))
-    return np.stack(per_block).mean(axis=0)
+        blocks = _feedback_blocks(cfg, t, (periods + 1) * t, t, gaussian_quantizer, h, rng)
+        n_blocks = periods * t
+    else:
+        # independent per-block snapshots with the effective distortion d
+        def snapshots():
+            for _ in range(periods):
+                h_hat = estimate(sample_cn(shape, p.sigma_h2, rng), p, rng)
+                yield _capacity_batch(h_hat, _held_precoder(gaussian_quantizer(h_hat, None), cfg),
+                                      cfg)
+
+        blocks = snapshots()
+        n_blocks = periods
+    # a running sum in block order, as np.stack(blocks).mean(axis=0) sums a
+    # chunk of more than one trial, without holding every block's capacities
+    total = next(blocks)
+    for caps in blocks:
+        total += caps
+    return total / n_blocks
 
 
 def ergodic_capacity(
     cfg: CapacityConfig,
     budget: FeedbackBudget,
-    d: float,
+    distortions,
     trials: int,
     seed: int,
     periods: int = 1,
     mode: str = "simulate",
     workers: int = 1,
-):
-    """Monte Carlo mean and standard error of the per-block capacity.
+) -> list[tuple[float, float]]:
+    """Monte Carlo mean and standard error of the per-block capacity, one
+    (mean, stderr) per entry of the sequence `distortions`.
 
     mode "simulate": quantized feedback is formed at each epoch from the
     current estimate (additive error of per-entry variance d) and the
-    precoder is held for T blocks, so within-period aging is simulated.
-    mode "analytic": every block gets an independent snapshot with the
-    supplied effective distortion (the theory curve).
+    precoder is held for T = budget.t_blocks blocks, so within-period aging
+    is simulated.  mode "analytic": every block gets an independent
+    snapshot with the supplied effective distortion (the theory curve).
 
+    Every distortion sees the same channels, estimates and test-channel
+    normals: a chunk draws them once, and only the error's scale sqrt(d / 2)
+    differs, so each entry equals a call with that distortion alone.
     Deterministic for fixed (seed, trials) regardless of worker count:
     trials are split into fixed-size chunks, each with its own substream.
     """
+    ds = np.asarray(distortions, dtype=float)
+    if ds.ndim != 1 or len(ds) == 0:
+        raise ValueError(f"distortions must be a non-empty sequence, got {distortions!r}")
+    if not np.all(np.isfinite(ds)) or np.any(ds < 0):
+        raise ValueError(f"distortions must be finite and >= 0, got {ds.tolist()}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if periods < 1:
+        raise ValueError(f"periods must be >= 1, got {periods}")
     if mode not in ("simulate", "analytic"):
         raise ValueError(f"unknown mode {mode!r}")
     chunks = []
@@ -333,7 +367,7 @@ def ergodic_capacity(
     cid = 0
     while start < trials:
         n = min(CHUNK_TRIALS, trials - start)
-        chunks.append((cfg, budget, d, n, seed, cid, periods, mode))
+        chunks.append((cfg, budget, ds, n, seed, cid, periods, mode))
         start += n
         cid += 1
 
@@ -343,9 +377,12 @@ def ergodic_capacity(
     else:
         results = [_simulate_chunk(c) for c in chunks]
 
-    per_trial = np.concatenate(results)
-    mean = float(math.fsum(per_trial) / trials)
-    if trials == 1:
-        return mean, float("nan")
-    var = math.fsum((per_trial - mean) ** 2) / (trials - 1)
-    return mean, math.sqrt(var / trials)
+    out = []
+    for per_trial in np.concatenate(results, axis=1):
+        mean = float(math.fsum(per_trial) / trials)
+        if trials == 1:
+            out.append((mean, float("nan")))
+            continue
+        var = math.fsum((per_trial - mean) ** 2) / (trials - 1)
+        out.append((mean, math.sqrt(var / trials)))
+    return out

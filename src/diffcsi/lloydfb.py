@@ -315,15 +315,28 @@ def save_codebook(path, cb: Codebook, params: ChannelParams, t_blocks: int) -> N
             fh.write(" ".join(f"{z.real:.17g} {z.imag:.17g}" for z in flat) + "\n")
 
 
-def load_codebook(path) -> tuple[Codebook, dict]:
+def load_codebook(path, params: ChannelParams | None = None,
+                  t_blocks: int | None = None) -> tuple[Codebook, dict]:
+    """Read a save_codebook file.  Given params or t_blocks, a codebook trained
+    for other channel parameters or another interval is refused."""
     with open(path, encoding="utf-8") as fh:
         header = json.loads(fh.readline())
         if header.get("version") != CODEBOOK_FORMAT_VERSION:
             raise ValueError(f"unsupported codebook version: {header.get('version')}")
+        if params is not None and header.get("params_hash") != _params_hash(params):
+            raise ValueError(f"{path}: codebook trained for other channel parameters "
+                             f"(params_hash {header.get('params_hash')}, "
+                             f"expected {_params_hash(params)})")
+        if t_blocks is not None and header.get("t_blocks") != t_blocks:
+            raise ValueError(f"{path}: codebook trained for interval "
+                             f"{header.get('t_blocks')}, expected {t_blocks}")
         n_r, n_t = header["n_r"], header["n_t"]
         entries = []
-        for line in fh:
+        for lineno, line in enumerate(fh, 2):
             vals = [float(v) for v in line.split()]
+            if len(vals) != 2 * n_r * n_t:
+                raise ValueError(f"{path}:{lineno}: expected {2 * n_r * n_t} numbers "
+                                 f"per codeword, got {len(vals)}")
             z = np.array(vals[0::2]) + 1j * np.array(vals[1::2])
             entries.append(z.reshape(n_r, n_t))
     cb = Codebook(rate_bits=header["rate_bits"], entries=np.array(entries),

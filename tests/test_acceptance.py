@@ -200,18 +200,18 @@ def test_08_f_closed_form():
 def test_09_capacity_sweep():
     trials = 10**4
     c_fbs = (0.5, 1.0, 2.0, 4.0)
+    # points[t - 1][j] is (mean, stderr) at interval t for c_fbs[j]; one call
+    # per T serves every C_fb from the same draws
+    points = []
+    for t in range(1, 101):
+        alpha = autocorrelation(PARAMS, t)
+        ds = [distortion_from_rate(PARAMS, alpha, c_fb * t) for c_fb in c_fbs]
+        budget = FeedbackBudget(c_fb=c_fbs[0], r_bits=c_fbs[0] * t, t_blocks=t)
+        points.append(ergodic_capacity(CAP_CFG, budget, ds, trials=trials, seed=909 + t))
     optima = []
-    for c_fb in c_fbs:
-        means, errs = [], []
-        for t in range(1, 101):
-            alpha = autocorrelation(PARAMS, t)
-            r_bits = c_fb * t
-            d = distortion_from_rate(PARAMS, alpha, r_bits)
-            budget = FeedbackBudget(c_fb=c_fb, r_bits=r_bits, t_blocks=t)
-            m, s = ergodic_capacity(CAP_CFG, budget, d, trials=trials,
-                                    seed=909 + t)
-            means.append(m)
-            errs.append(s)
+    for j, c_fb in enumerate(c_fbs):
+        means = [row[j][0] for row in points]
+        errs = [row[j][1] for row in points]
         i = int(np.argmax(means))
         assert 0 < i < 99, f"optimum at the boundary (T={i + 1}) for C_fb={c_fb}"
         gap0 = means[i] - means[0]
@@ -251,8 +251,8 @@ def test_11_lloyd_capacity_convergence():
         alpha = autocorrelation(PARAMS, t)
         d = distortion_from_rate(PARAMS, alpha, r_bits)
         budget = FeedbackBudget(c_fb=c_fb, r_bits=r_bits, t_blocks=t)
-        c_theory, _ = ergodic_capacity(CAP_CFG, budget, d, trials=4000,
-                                       seed=1100 + t)
+        [(c_theory, _)] = ergodic_capacity(CAP_CFG, budget, [d], trials=4000,
+                                           seed=1100 + t)
         cb = bootstrap_codebook(CAP_CFG, budget,
                                 n_samples=max(20000, 100 * 2 ** r_bits),
                                 seed=1200 + r_bits, rounds=1)

@@ -267,32 +267,30 @@ class TestClosedForms:
     def test_ergodic_capacity_off_square(self, n_r, n_t):
         cfg = link(n_r, n_t, 0.0, 0.2)
         budget = FeedbackBudget(c_fb=1.0, r_bits=3.0, t_blocks=3)
-        m, s = ergodic_capacity(cfg, budget, 0.2, trials=200, seed=9)
+        [(m, s)] = ergodic_capacity(cfg, budget, [0.2], trials=200, seed=9)
         assert math.isfinite(m) and m > 0 and math.isfinite(s)
 
 
 class TestErgodicCapacity:
     def test_monotone_degradation_with_distortion(self, params, cap_cfg):
         budget = FeedbackBudget(c_fb=2.0, r_bits=8.0, t_blocks=4)
-        m1, s1 = ergodic_capacity(cap_cfg, budget, 0.05, trials=2000, seed=42)
-        m2, s2 = ergodic_capacity(cap_cfg, budget, 0.6, trials=2000, seed=42)
+        (m1, s1), (m2, s2) = ergodic_capacity(cap_cfg, budget, [0.05, 0.6], trials=2000,
+                                              seed=42)
         assert m1 >= m2 - 3 * max(s1, s2)
 
     def test_finite_and_nonnegative(self, cap_cfg):
         budget = FeedbackBudget(c_fb=1.0, r_bits=4.0, t_blocks=4)
-        m, s = ergodic_capacity(cap_cfg, budget, 0.3, trials=500, seed=7)
+        [(m, s)] = ergodic_capacity(cap_cfg, budget, [0.3], trials=500, seed=7)
         assert math.isfinite(m) and m >= 0
         assert math.isfinite(s) and s >= 0
 
     def test_diminishing_returns_in_feedback_capacity(self, params, cap_cfg):
-        means = []
         t = 6
         alpha = autocorrelation(params, t)
-        for c_fb in (0.5, 1.0, 2.0, 4.0):
-            d = distortion_from_rate(params, alpha, c_fb * t)
-            budget = FeedbackBudget(c_fb=c_fb, r_bits=c_fb * t, t_blocks=t)
-            m, _ = ergodic_capacity(cap_cfg, budget, d, trials=4000, seed=11)
-            means.append(m)
+        c_fbs = (0.5, 1.0, 2.0, 4.0)
+        ds = [distortion_from_rate(params, alpha, c_fb * t) for c_fb in c_fbs]
+        budget = FeedbackBudget(c_fb=c_fbs[0], r_bits=c_fbs[0] * t, t_blocks=t)
+        means = [m for m, _ in ergodic_capacity(cap_cfg, budget, ds, trials=4000, seed=11)]
         assert all(b >= a for a, b in zip(means, means[1:]))
         increments = [b - a for a, b in zip(means, means[1:])]
         assert increments[-1] < increments[0]
@@ -300,22 +298,68 @@ class TestErgodicCapacity:
     def test_worker_count_invariance(self, cap_cfg):
         budget = FeedbackBudget(c_fb=2.0, r_bits=6.0, t_blocks=3)
         # trials > chunk size so multiple chunks exist
-        a = ergodic_capacity(cap_cfg, budget, 0.2, trials=4096, seed=3, workers=1)
-        b = ergodic_capacity(cap_cfg, budget, 0.2, trials=4096, seed=3, workers=2)
+        a = ergodic_capacity(cap_cfg, budget, [0.2], trials=4096, seed=3, workers=1)
+        b = ergodic_capacity(cap_cfg, budget, [0.2], trials=4096, seed=3, workers=2)
         assert a == b
 
     def test_analytic_mode_runs(self, cap_cfg):
         budget = FeedbackBudget(c_fb=2.0, r_bits=6.0, t_blocks=3)
-        m, s = ergodic_capacity(cap_cfg, budget, 0.2, trials=500, seed=5,
-                                mode="analytic", periods=4)
+        [(m, s)] = ergodic_capacity(cap_cfg, budget, [0.2], trials=500, seed=5,
+                                    mode="analytic", periods=4)
         assert math.isfinite(m) and m > 0
 
     def test_invalid_arguments(self, cap_cfg):
         budget = FeedbackBudget(c_fb=2.0, r_bits=6.0, t_blocks=3)
         with pytest.raises(ValueError):
-            ergodic_capacity(cap_cfg, budget, 0.2, trials=0, seed=1)
+            ergodic_capacity(cap_cfg, budget, [0.2], trials=0, seed=1)
         with pytest.raises(ValueError):
-            ergodic_capacity(cap_cfg, budget, 0.2, trials=10, seed=1, mode="bogus")
+            ergodic_capacity(cap_cfg, budget, [0.2], trials=10, seed=1, mode="bogus")
+
+    @pytest.mark.parametrize("mode", ["simulate", "analytic"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_distortions_match_single_calls(self, cap_cfg, mode, workers):
+        # two chunks (2048 + 52 trials); each distortion of one call is the
+        # call with that distortion alone, bit for bit
+        budget = FeedbackBudget(c_fb=1.0, r_bits=3.0, t_blocks=3)
+        ds = [0.05, 0.2, 0.6, 1.3]
+        kw = dict(trials=2100, seed=17, periods=2, mode=mode, workers=workers)
+        joint = ergodic_capacity(cap_cfg, budget, ds, **kw)
+        assert joint == [ergodic_capacity(cap_cfg, budget, [d], **kw)[0] for d in ds]
+
+    @pytest.mark.parametrize("mode", ["simulate", "analytic"])
+    def test_zero_distortion_feeds_back_the_estimate(self, cap_cfg, monkeypatch, mode):
+        # d = 0 (reached at |alpha| r = 1) scales the shared noise draw by
+        # zero, so its row of H_bar is the estimate H_hat itself
+        estimates, held = [], []
+        real_estimate, real_held = capacity.estimate, capacity._held_precoder
+
+        def estimate(*args):
+            estimates.append(real_estimate(*args))
+            return estimates[-1]
+
+        def held_precoder(h_bar, cfg):
+            held.append((np.array_equal(h_bar[0], estimates[-1]),
+                         np.array_equal(h_bar[1], estimates[-1])))
+            return real_held(h_bar, cfg)
+
+        monkeypatch.setattr(capacity, "estimate", estimate)
+        monkeypatch.setattr(capacity, "_held_precoder", held_precoder)
+        budget = FeedbackBudget(c_fb=1.0, r_bits=2.0, t_blocks=2)
+        [(m0, _), (m1, _)] = ergodic_capacity(cap_cfg, budget, [0.0, 0.4], trials=50,
+                                              seed=4, periods=3, mode=mode)
+        assert held == [(True, False)] * (4 if mode == "simulate" else 3)
+        assert math.isfinite(m0) and math.isfinite(m1)
+
+    @pytest.mark.parametrize("ds", [[], [float("nan")], [0.2, float("inf")], [0.2, -0.1],
+                                    0.2, [[0.2]]])
+    def test_bad_distortions_rejected_before_any_chunk(self, cap_cfg, monkeypatch, ds):
+        def no_chunk(args):
+            raise AssertionError("a chunk ran")
+
+        monkeypatch.setattr(capacity, "_simulate_chunk", no_chunk)
+        budget = FeedbackBudget(c_fb=1.0, r_bits=3.0, t_blocks=3)
+        with pytest.raises(ValueError, match="distortions"):
+            ergodic_capacity(cap_cfg, budget, ds, trials=10, seed=1)
 
 
 class TestFeedbackLoop:
@@ -380,14 +424,16 @@ class TestDrawBudget:
         # normals per trial, 8 per 2x2 draw.  simulate: the initial channel,
         # T + 1 visited blocks' estimates, one jump to block T and T - 1
         # steps after it, and the test channel's noise at epochs 0 and T.
-        # analytic: a snapshot, its estimate and the noise per period.
-        counter = _CountingRng(RngStream(1, 0).generator())
-        monkeypatch.setattr(capacity.RngStream, "generator", lambda self: counter)
+        # analytic: a snapshot, its estimate and the noise per period.  Four
+        # distortions share one draw, so they take exactly the normals of one.
         budget = FeedbackBudget(c_fb=1.0, r_bits=t, t_blocks=t)
         b = 3
-        out = capacity._simulate_chunk((cap_cfg, budget, 0.2, b, 1, 0, periods, mode))
-        assert out.shape == (b,)
-        assert counter.normals == expect * b
+        for ds in ([0.2], [0.05, 0.2, 0.6, 1.3]):
+            counter = _CountingRng(RngStream(1, 0).generator())
+            monkeypatch.setattr(capacity.RngStream, "generator", lambda self: counter)
+            out = capacity._simulate_chunk((cap_cfg, budget, ds, b, 1, 0, periods, mode))
+            assert out.shape == (len(ds), b)
+            assert counter.normals == expect * b
 
     def test_no_discard_estimates_every_block(self, params, cap_cfg, monkeypatch):
         estimates, advances = _spy(monkeypatch, "estimate"), _spy(monkeypatch, "advance")

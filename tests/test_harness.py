@@ -93,6 +93,19 @@ class TestScenarios:
         b = run_scenario(ExperimentConfig(**base, workers=2))
         assert a == b
 
+    def test_fig4_columns_independent_of_other_c_fb(self):
+        # each C_fb's columns are byte-equal to fig4 run with that C_fb alone
+        def table(c_fb):
+            csv = run_scenario(ExperimentConfig(scenario="fig4", t_min=1, t_max=13, t_step=4,
+                                                c_fb=c_fb, trials=400, seed=31))
+            return [line.split(",") for line in csv.splitlines() if not line.startswith("#")]
+
+        c_fbs = [0.5, 1.0, 2.0, 4.0]
+        joint = table(c_fbs)
+        for j, c_fb in enumerate(c_fbs):
+            alone = table([c_fb])
+            assert [row[:1] + row[1 + 2 * j:3 + 2 * j] for row in joint] == alone
+
     def test_rerun_byte_identical(self):
         cfg = dict(scenario="fig4", t_min=3, t_max=3, c_fb=[1.0], trials=500, seed=5)
         assert run_scenario(ExperimentConfig(**cfg)) == run_scenario(ExperimentConfig(**cfg))

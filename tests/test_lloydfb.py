@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -309,5 +310,33 @@ class TestSerialization:
         text = path.read_text().splitlines()
         text[0] = text[0].replace('"version": 1', '"version": 99')
         path.write_text("\n".join(text) + "\n")
+        with pytest.raises(ValueError):
+            load_codebook(path)
+
+    def test_params_and_interval_checked(self, tmp_path, params, budget, codebook):
+        path = tmp_path / "cb.txt"
+        save_codebook(path, codebook, params, budget.t_blocks)
+        loaded, _ = load_codebook(path, params=params, t_blocks=budget.t_blocks)
+        assert np.array_equal(loaded.entries, codebook.entries)
+        other = dataclasses.replace(params, f_d=2 * params.f_d)
+        with pytest.raises(ValueError, match="channel parameters"):
+            load_codebook(path, params=other)
+        with pytest.raises(ValueError, match="interval"):
+            load_codebook(path, t_blocks=budget.t_blocks + 1)
+
+    def test_entry_count_other_than_2_to_the_r(self, tmp_path, params, budget, codebook):
+        path = tmp_path / "cb.txt"
+        save_codebook(path, codebook, params, budget.t_blocks)
+        path.write_text("\n".join(path.read_text().splitlines()[:-1]) + "\n")
+        with pytest.raises(ValueError, match="2\\^R"):
+            load_codebook(path)
+
+    @pytest.mark.parametrize("bad", ["1 2 3", "1 2 3 4 5 6 7 x"])
+    def test_malformed_codeword_line(self, tmp_path, params, budget, codebook, bad):
+        path = tmp_path / "cb.txt"
+        save_codebook(path, codebook, params, budget.t_blocks)
+        lines = path.read_text().splitlines()
+        lines[2] = bad
+        path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError):
             load_codebook(path)
