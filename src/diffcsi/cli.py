@@ -17,8 +17,6 @@ from .harness import (
 )
 from .ratedist import SolverError
 
-AD_HOC = ("rate", "distortion", "optimal-interval", "capacity", "lloyd-sim")
-
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
@@ -43,16 +41,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "time-correlated MIMO Rayleigh block-fading channels.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in AD_HOC:
-        p = sub.add_parser(name, help=f"run the '{name}' scenario")
-        _add_common(p)
-    rep = sub.add_parser("reproduce", help="reproduce a figure scenario")
-    rep.add_argument("figure", choices=("fig2", "fig3", "fig4", "fig5"))
-    _add_common(rep)
+    for name in SCENARIOS:
+        _add_common(sub.add_parser(name, help=f"run the '{name}' scenario"))
     return parser
 
 
-def _resolve_config(args: argparse.Namespace, scenario: str) -> ExperimentConfig:
+def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     values = {}
     if args.config:
         values.update(load_config_file(args.config))
@@ -64,16 +58,15 @@ def _resolve_config(args: argparse.Namespace, scenario: str) -> ExperimentConfig
     for flag in ("seed", "trials", "workers"):
         if getattr(args, flag) is not None:
             values[flag] = getattr(args, flag)
-    values["scenario"] = scenario
+    values["scenario"] = args.command
     return ExperimentConfig(**values)
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    scenario = args.figure if args.command == "reproduce" else args.command
     try:
-        cfg = _resolve_config(args, scenario)
+        cfg = _resolve_config(args)
     except (KeyError, ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -6,8 +6,6 @@ fully resolved configuration, so every table is reproducible byte for
 byte from its own metadata.
 """
 
-from __future__ import annotations
-
 import dataclasses
 import io
 import math
@@ -71,21 +69,28 @@ class ExperimentConfig:
                     raise ValueError(f"{f.name} must be finite, got {value}")
         if not self.c_fb or min(self.c_fb) <= 0:
             raise ValueError(f"c_fb must be a non-empty list of values > 0, got {self.c_fb}")
-        if min(self.d_list, default=1.0) <= 0 or min(self.sigma_e2_list, default=0.0) < 0:
-            raise ValueError("d_list entries must be > 0 and sigma_e2_list entries >= 0")
+        if not self.d_list or min(self.d_list) <= 0:
+            raise ValueError(f"d_list must be a non-empty list of values > 0, got {self.d_list}")
+        if not self.sigma_e2_list or min(self.sigma_e2_list) < 0:
+            raise ValueError(f"sigma_e2_list must be a non-empty list of values >= 0, "
+                             f"got {self.sigma_e2_list}")
         # a standard error needs at least two samples
         if self.trials < 2 or self.lloyd_sessions < 2:
             raise ValueError(f"trials and lloyd_sessions must be >= 2, "
                              f"got {self.trials}, {self.lloyd_sessions}")
-        if self.r_max < 1 or self.lloyd_rounds < 1:
-            raise ValueError(f"r_max and lloyd_rounds must be >= 1, "
-                             f"got {self.r_max}, {self.lloyd_rounds}")
+        if not 1 <= self.r_max <= lloydfb.MAX_RATE_BITS:
+            raise ValueError(f"r_max must be in 1..{lloydfb.MAX_RATE_BITS}, got {self.r_max}")
+        if self.lloyd_rounds < 1:
+            raise ValueError(f"lloyd_rounds must be >= 1, got {self.lloyd_rounds}")
+        if self.seed < 0 or self.workers < 1:
+            raise ValueError(f"seed must be >= 0 and workers >= 1, "
+                             f"got {self.seed}, {self.workers}")
         if self.t_min < 1 or self.t_step < 1:
             raise ValueError(f"t_min and t_step must be >= 1, got {self.t_min}, {self.t_step}")
         if self.t_min > self.t_max:
             raise ValueError(f"t_min ({self.t_min}) exceeds t_max ({self.t_max})")
         # the channel and link configs run their own range checks
-        CapacityConfig(params=self.params, snr_db=self.snr_db, l_block=self.l_block)
+        self.capacity_config
 
     @property
     def params(self) -> ChannelParams:
@@ -228,12 +233,7 @@ _RUNNERS = {
     "fig3": _scenario_fig3,
     "fig4": _scenario_fig4,
     "fig5": _scenario_fig5,
-    # ad-hoc names for the figure scenarios on the configured grids
-    "rate": _scenario_fig3,
-    "distortion": _scenario_fig2,
     "optimal-interval": _scenario_optimal_interval,
-    "capacity": _scenario_fig4,
-    "lloyd-sim": _scenario_fig5,
 }
 SCENARIOS = tuple(_RUNNERS)
 
@@ -244,23 +244,19 @@ def run_scenario(cfg: ExperimentConfig) -> str:
     return render_csv(_config_comments(cfg), header, rows)
 
 
-_LIST_KEYS = {"c_fb", "d_list", "sigma_e2_list"}
-_INT_KEYS = {"n_t", "n_r", "l_block", "t_min", "t_max", "t_step", "r_max",
-             "trials", "lloyd_sessions", "lloyd_training", "lloyd_rounds",
-             "seed", "workers"}
-_FLOAT_KEYS = {"sigma_h2", "sigma_hhat2", "f_d", "t_block", "snr_db"}
+# the config schema; this module does not postpone annotations, so each
+# field's type is the class itself (int, float, list or str)
+_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
 
 
 def parse_config_value(key: str, raw: str):
-    if key in _LIST_KEYS:
+    """Parse `raw` as the type of ExperimentConfig's field `key`."""
+    if key not in _FIELD_TYPES:
+        raise KeyError(f"unknown config key {key!r}")
+    kind = _FIELD_TYPES[key]
+    if kind is list:
         return [float(v) for v in raw.replace(",", " ").split()]
-    if key in _INT_KEYS:
-        return int(raw)
-    if key in _FLOAT_KEYS:
-        return float(raw)
-    if key == "scenario":
-        return raw
-    raise KeyError(f"unknown config key {key!r}")
+    return kind(raw)
 
 
 def load_config_file(path) -> dict:

@@ -33,7 +33,6 @@ __all__ = [
     "optimal_interval",
     "gaussian_mi_oracle",
     "x_to_interval",
-    "interval_to_x",
     "exponent_constant",
 ]
 
@@ -166,10 +165,6 @@ def exponent_constant(params: ChannelParams, c_fb: float) -> float:
 def x_to_interval(params: ChannelParams, x: float) -> float:
     """Map the dimensionless argument x = 2 pi f_d tau to blocks."""
     return x / (2.0 * math.pi * params.f_d * params.t_block)
-
-
-def interval_to_x(params: ChannelParams, t: float) -> float:
-    return 2.0 * math.pi * params.f_d * params.t_block * t
 
 
 def distortion_derivative(params: ChannelParams, c_fb: float, x: float) -> float:

@@ -1,9 +1,13 @@
+import argparse
+import dataclasses
 import math
+from pathlib import Path
 
 import pytest
 
-from diffcsi.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
+from diffcsi.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, build_parser, main
 from diffcsi.harness import (
+    SCENARIOS,
     ExperimentConfig,
     load_config_file,
     parse_config_value,
@@ -130,6 +134,13 @@ class TestConfigParsing:
         with pytest.raises(KeyError):
             parse_config_value("bogus", "1")
 
+    @pytest.mark.parametrize("f", dataclasses.fields(ExperimentConfig), ids=lambda f: f.name)
+    def test_every_field_parses_to_its_type(self, f):
+        raw, expected = {int: ("3", 3), float: ("0.25", 0.25), list: ("1, 2", [1.0, 2.0]),
+                         str: ("fig2", "fig2")}[f.type]
+        value = parse_config_value(f.name, raw)
+        assert type(value) is f.type and value == expected
+
     def test_config_file(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("# comment\ntrials = 250\nc_fb = 1 2\n\nsnr_db=6\n")
@@ -151,31 +162,41 @@ class TestCli:
         assert out.read_text().splitlines()[0].startswith("#")
 
     def test_stdout_default(self, capsys):
-        rc = main(["distortion", "--set", "t_max=3"])
+        rc = main(["fig2", "--set", "t_max=3"])
         assert rc == EXIT_OK
         assert "T,d_theory" in capsys.readouterr().out
 
-    def test_reproduce_alias(self, capsys):
-        rc = main(["reproduce", "fig2", "--set", "t_max=3"])
-        assert rc == EXIT_OK
-        assert "# scenario=fig2" in capsys.readouterr().out
+    def test_subcommands_are_the_scenarios(self, capsys):
+        [sub] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        assert tuple(sub.choices) == SCENARIOS
+        small = ["--trials", "64", "--set", "t_max=2", "--set", "c_fb=1", "--set", "r_max=1",
+                 "--set", "lloyd_sessions=2", "--set", "lloyd_training=200"]
+        for name in SCENARIOS:
+            assert main([name, *small]) == EXIT_OK
+            assert f"# scenario={name}\n" in capsys.readouterr().out
+
+    def test_readme_cli_block_lists_the_scenarios(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## CLI\n", 1)[1].split("```\n")[1]
+        commands = [" ".join(line.split()[:2]) for line in block.splitlines()]
+        assert commands == [f"diffcsi {name}" for name in SCENARIOS]
 
     def test_flag_overrides_config_file(self, tmp_path, capsys):
         cfgfile = tmp_path / "c.cfg"
         cfgfile.write_text("seed=1\nt_max=3\n")
-        rc = main(["distortion", "--config", str(cfgfile), "--seed", "42"])
+        rc = main(["fig2", "--config", str(cfgfile), "--seed", "42"])
         assert rc == EXIT_OK
         out = capsys.readouterr().out
         assert "# seed=42" in out
         assert "# t_max=3" in out
 
     def test_usage_error_unknown_key(self, capsys):
-        rc = main(["rate", "--set", "bogus=1"])
+        rc = main(["fig3", "--set", "bogus=1"])
         assert rc == EXIT_USAGE
         assert "error:" in capsys.readouterr().err
 
     def test_usage_error_missing_config(self, capsys):
-        rc = main(["rate", "--config", "/nonexistent/file.cfg"])
+        rc = main(["fig3", "--config", "/nonexistent/file.cfg"])
         assert rc == EXIT_USAGE
 
     def test_numerical_error_exit_code(self, capsys):
@@ -186,22 +207,27 @@ class TestCli:
         assert "numerical failure" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
-        ["capacity", "--trials", "0"],
-        ["capacity", "--set", "t_min=0"],
-        ["capacity", "--set", "t_step=0"],
-        ["capacity", "--set", "t_min=9", "--set", "t_max=3"],
-        ["capacity", "--set", "c_fb="],
-        ["capacity", "--set", "c_fb=1 inf"],
-        ["capacity", "--set", "c_fb=0 1"],
-        ["capacity", "--set", "sigma_h2=nan"],
-        ["capacity", "--set", "snr_db=nan"],
-        ["rate", "--set", "d_list=0.1 -1"],
-        ["rate", "--set", "pilot_fraction=5"],
-        ["capacity", "--trials", "1"],
-        ["lloyd-sim", "--set", "lloyd_sessions=0"],
-        ["lloyd-sim", "--set", "lloyd_sessions=1"],
-        ["lloyd-sim", "--set", "r_max=0"],
-        ["lloyd-sim", "--set", "lloyd_rounds=0"],
+        ["fig4", "--trials", "0"],
+        ["fig4", "--set", "t_min=0"],
+        ["fig4", "--set", "t_step=0"],
+        ["fig4", "--set", "t_min=9", "--set", "t_max=3"],
+        ["fig4", "--set", "c_fb="],
+        ["fig4", "--set", "c_fb=1 inf"],
+        ["fig4", "--set", "c_fb=0 1"],
+        ["fig4", "--set", "sigma_h2=nan"],
+        ["fig4", "--set", "snr_db=nan"],
+        ["fig3", "--set", "d_list=0.1 -1"],
+        ["fig3", "--set", "pilot_fraction=5"],
+        ["fig4", "--trials", "1"],
+        ["fig5", "--set", "lloyd_sessions=0"],
+        ["fig5", "--set", "lloyd_sessions=1"],
+        ["fig5", "--set", "r_max=0"],
+        ["fig5", "--set", "lloyd_rounds=0"],
+        ["fig3", "--set", "d_list="],
+        ["fig3", "--set", "sigma_e2_list="],
+        ["fig4", "--seed", "-5"],
+        ["fig4", "--workers", "0"],
+        ["fig5", "--set", "r_max=17"],
     ])
     def test_invalid_config_exits_2(self, argv, capsys):
         rc = main(argv)
@@ -215,7 +241,7 @@ class TestCli:
                   "--set", "lloyd_training=400"]),
     ])
     def test_more_transmit_than_receive_antennas(self, figure, extra, capsys):
-        rc = main(["reproduce", figure, "--set", "n_t=3", "--set", "n_r=2",
+        rc = main([figure, "--set", "n_t=3", "--set", "n_r=2",
                    "--trials", "64", *extra])
         assert rc == EXIT_OK
         rows = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]

@@ -19,7 +19,6 @@ from diffcsi.ratedist import (
     distortion_vs_interval,
     exponent_constant,
     gaussian_mi_oracle,
-    interval_to_x,
     mi_lower_bound,
     min_feedback_rate,
     optimal_interval,
@@ -249,8 +248,9 @@ class TestOptimalInterval:
             step = xs[1] - xs[0]
             assert abs(opt.x_opt - x_grid) <= 2 * step
 
-    def test_x_interval_round_trip(self, params):
-        assert interval_to_x(params, x_to_interval(params, 0.7)) == pytest.approx(0.7)
+    def test_x_to_interval(self, params):
+        x = 2 * math.pi * params.f_d * params.t_block * 3
+        assert x_to_interval(params, x) == pytest.approx(3)
 
     def test_exponent_constant(self, params):
         k = exponent_constant(params, 2.0)
