@@ -44,32 +44,29 @@ class PowerAllocation:
 
     z2: np.ndarray
     mu: float
-    amplitude2: float
 
 
 @dataclass(frozen=True)
 class CapacityConfig:
     """Link configuration for capacity evaluation.
 
-    SNR convention: SNR = N_t A^2 sigma_h2 / sigma_0^2, so the symbol
-    power is A^2 = SNR_linear * sigma_0^2 / (N_t sigma_h2).
+    SNR convention: SNR = N_t A^2 sigma_h2 / sigma_0^2 with unit noise
+    variance sigma_0^2 = 1, so the symbol power is A^2 = SNR_linear /
+    (N_t sigma_h2) and the capacity depends on the SNR alone.
     """
 
     params: ChannelParams
     snr_db: float
     l_block: int
-    noise_variance: float = 1.0
 
     def __post_init__(self):
         if self.l_block <= self.params.n_t:
             raise ValueError("l_block must exceed n_t (pilot overhead)")
-        if self.noise_variance <= 0:
-            raise ValueError("noise_variance must be > 0")
 
     @property
     def amplitude2(self) -> float:
         snr_lin = 10.0 ** (self.snr_db / 10.0)
-        return snr_lin * self.noise_variance / (self.params.n_t * self.params.sigma_h2)
+        return snr_lin / (self.params.n_t * self.params.sigma_h2)
 
     @property
     def overhead(self) -> float:
@@ -101,7 +98,7 @@ def waterfill(gammas: np.ndarray, amplitude2: float, n_t: int) -> PowerAllocatio
         if mu > inv[k - 1]:
             z2 = np.zeros(m)
             z2[:k] = mu - inv[:k]
-            return PowerAllocation(z2=z2, mu=mu, amplitude2=amplitude2)
+            return PowerAllocation(z2=z2, mu=mu)
     raise RuntimeError("water-filling failed to find an active set")  # unreachable
 
 
@@ -124,9 +121,9 @@ def waterfill_batch(gammas: np.ndarray, amplitude2: float, n_t: int) -> np.ndarr
 
 
 def _kernel_constants(cfg: CapacityConfig):
-    """(c, q) with F = c I + q J J^+: c = sigma_0^2/A^2 + N_t sigma_psi^2, q = (1-r)^2."""
+    """(c, q) with F = c I + q J J^+: c = 1/A^2 + N_t sigma_psi^2, q = (1-r)^2."""
     p = cfg.params
-    c = cfg.noise_variance / cfg.amplitude2 + p.n_t * p.psi_variance
+    c = 1.0 / cfg.amplitude2 + p.n_t * p.psi_variance
     return c, (1.0 - p.ratio) ** 2
 
 
@@ -294,7 +291,7 @@ def _simulate_chunk(args):
     cfg, budget, distortions, n_trials, seed, chunk_id, periods, mode = args
     p = cfg.params
     rng = RngStream(seed, chunk_id).generator()
-    t = max(1, budget.t_blocks)
+    t = budget.t_blocks
     shape = (n_trials, p.n_r, p.n_t)
     # sample_cn's layout and scaling, sqrt(d / 2) * [re, im], with one draw
     # of standard normals shared by every distortion d (d-major leading axis)

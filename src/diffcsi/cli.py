@@ -12,7 +12,7 @@ from .harness import (
     SCENARIOS,
     ExperimentConfig,
     load_config_file,
-    parse_config_value,
+    parse_config_item,
     run_scenario,
 )
 from .ratedist import SolverError
@@ -50,15 +50,13 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     values = {}
     if args.config:
         values.update(load_config_file(args.config))
-    for item in args.set:
-        if "=" not in item:
-            raise KeyError(f"--set expects KEY=VALUE, got {item!r}")
-        key, _, raw = item.partition("=")
-        values[key.strip()] = parse_config_value(key.strip(), raw.strip())
+    values.update(parse_config_item(item) for item in args.set)
     for flag in ("seed", "trials", "workers"):
         if getattr(args, flag) is not None:
             values[flag] = getattr(args, flag)
-    values["scenario"] = args.command
+    if values.setdefault("scenario", args.command) != args.command:
+        raise ValueError(f"scenario={values['scenario']} contradicts the "
+                         f"subcommand {args.command}")
     return ExperimentConfig(**values)
 
 

@@ -156,17 +156,11 @@ def _scenario_fig3(cfg: ExperimentConfig):
     header = ["alpha"]
     header += [f"R_min_{_combo_tag(se, d)}" for se, d in combos]
     header += [f"R_nondiff_{_combo_tag(se, d)}" for se, d in combos]
-    rows = []
-    for alpha in alphas:
-        row = [alpha]
-        for se, d in combos:
-            p = cfg.params_with_sigma_e2(se)
-            row.append(min_feedback_rate(p, alpha, d))
-        for se, d in combos:
-            # memoryless baseline: same bound with the correlation ignored
-            p = cfg.params_with_sigma_e2(se)
-            row.append(min_feedback_rate(p, 0.0, d))
-        rows.append(row)
+    links = [(cfg.params_with_sigma_e2(se), d) for se, d in combos]
+    # memoryless baseline: same bound with the correlation ignored
+    nondiff = [min_feedback_rate(p, 0.0, d) for p, d in links]
+    rows = [[alpha] + [min_feedback_rate(p, alpha, d) for p, d in links] + nondiff
+            for alpha in alphas]
     return header, rows
 
 
@@ -247,6 +241,7 @@ def run_scenario(cfg: ExperimentConfig) -> str:
 # the config schema; this module does not postpone annotations, so each
 # field's type is the class itself (int, float, list or str)
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
+_TYPE_NAMES = {int: "an integer", float: "a number", list: "a list of numbers", str: "a string"}
 
 
 def parse_config_value(key: str, raw: str):
@@ -254,9 +249,21 @@ def parse_config_value(key: str, raw: str):
     if key not in _FIELD_TYPES:
         raise KeyError(f"unknown config key {key!r}")
     kind = _FIELD_TYPES[key]
-    if kind is list:
-        return [float(v) for v in raw.replace(",", " ").split()]
-    return kind(raw)
+    try:
+        if kind is list:
+            return [float(v) for v in raw.replace(",", " ").split()]
+        return kind(raw)
+    except ValueError:
+        raise ValueError(f"{key} expects {_TYPE_NAMES[kind]}, got {raw!r}") from None
+
+
+def parse_config_item(item: str) -> tuple:
+    """One `key=value` setting, as a config file line or `--set` holds it."""
+    key, sep, raw = item.partition("=")
+    if not sep:
+        raise ValueError(f"expected key=value, got {item!r}")
+    key = key.strip()
+    return key, parse_config_value(key, raw.strip())
 
 
 def load_config_file(path) -> dict:
@@ -267,9 +274,9 @@ def load_config_file(path) -> dict:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, raw = line.partition("=")
-            key = key.strip()
-            values[key] = parse_config_value(key, raw.strip())
+            try:
+                key, value = parse_config_item(line)
+            except (KeyError, ValueError) as exc:
+                raise ValueError(f"{path}:{lineno}: {exc.args[0]}") from None
+            values[key] = value
     return values

@@ -35,6 +35,10 @@ __all__ = [
 MAX_RATE_BITS = 16  # exhaustive codeword search is 2^R per sample
 NEAREST_BLOCK = 1024  # samples per GEMM block of the codeword search
 _REFILL = 4096  # normals drawn per generator refill of a batched session
+# Lloyd stops after LLOYD_ITERATIONS, or once an iteration improves the
+# distortion by less than LLOYD_MIN_GAIN of its value
+LLOYD_ITERATIONS = 200
+LLOYD_MIN_GAIN = 1e-4
 
 CODEBOOK_FORMAT_VERSION = 1
 
@@ -95,18 +99,13 @@ def quantize(h_d: np.ndarray, cb: Codebook):
     return (int(idx) if idx.ndim == 0 else idx), cb.entries[idx]
 
 
-def train_codebook(
-    samples: np.ndarray,
-    rate_bits: int,
-    max_iters: int = 200,
-    rel_tol: float = 1e-4,
-    seed: int = 0,
-) -> Codebook:
+def train_codebook(samples: np.ndarray, rate_bits: int, seed: int = 0) -> Codebook:
     """Lloyd training of a 2^R-entry codebook over differential matrices.
 
     Alternates nearest-neighbor partition and centroid update; stops when
-    the relative distortion improvement drops below rel_tol.  Empty cells
-    are repaired by splitting the centroid of the highest-distortion cell.
+    the relative distortion improvement drops below LLOYD_MIN_GAIN.  Empty
+    cells are repaired by splitting the centroid of the highest-distortion
+    cell.
     """
     if rate_bits < 1:
         raise ValueError("rate_bits must be >= 1")
@@ -128,7 +127,7 @@ def train_codebook(
 
     history = []
     prev = math.inf
-    for it in range(max_iters):
+    for it in range(LLOYD_ITERATIONS):
         labels = _nearest(flat, centers)
         err2 = _abs2(flat - centers[labels])
         dist = float(np.mean(err2) * dim)  # per-sample squared error
@@ -152,7 +151,7 @@ def train_codebook(
                 rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
             )
             cell_dist[worst] /= 2.0
-        if math.isfinite(prev) and improved < rel_tol * max(dist, 1e-300):
+        if math.isfinite(prev) and improved < LLOYD_MIN_GAIN * max(dist, 1e-300):
             break
         prev = dist
 
@@ -179,8 +178,7 @@ def open_loop_training_samples(
     E ~ CN(0, d(alpha(T), R)); cheaper than closed-loop bootstrapping.
     """
     rng = stream.generator()
-    t = max(1, budget.t_blocks)
-    alpha = autocorrelation(params, t)
+    alpha = autocorrelation(params, budget.t_blocks)
     d = distortion_from_rate(params, alpha, budget.r_bits)
     shape = (n_samples, params.n_r, params.n_t)
     h_prev = sample_cn(shape, params.sigma_h2, rng)
@@ -246,8 +244,6 @@ def run_feedback_session(
     The first reference is H_bar_0 = 0.
     """
     t = budget.t_blocks
-    if t < 1:
-        raise ValueError("budget.t_blocks must be >= 1")
     if cb.rate_bits > budget.c_fb * t + 1e-12:
         raise ValueError(
             f"budget violation: R={cb.rate_bits} > C_fb*T={budget.c_fb * t}"
@@ -262,9 +258,7 @@ def bootstrap_codebook(
     budget: FeedbackBudget,
     n_samples: int,
     seed: int,
-    rounds: int = 3,
-    max_iters: int = 200,
-    rel_tol: float = 1e-4,
+    rounds: int,
 ) -> Codebook:
     """Closed-loop codebook training.
 
@@ -273,18 +267,17 @@ def bootstrap_codebook(
     retrains, since the statistics of H_d depend on the quantizer itself.
     """
     p = cfg.params
-    t = max(1, budget.t_blocks)
+    t = budget.t_blocks
     r_bits = int(round(budget.r_bits))
     samples = open_loop_training_samples(p, budget, n_samples, RngStream(seed, 1))
-    cb = train_codebook(samples, r_bits, max_iters=max_iters, rel_tol=rel_tol, seed=seed)
+    cb = train_codebook(samples, r_bits, seed=seed)
     for rnd in range(1, rounds):
         # 64 epochs per session after the cold start, stacked session-major
         diffs = []
         seeds = [(seed * 1000 + rnd) * 131 + s for s in range(-(-n_samples // 64))]
         _sessions(cfg, t, _codebook_quantizer(cb, diffs), 65 * t, seeds)
         collected = np.stack(diffs[1:], axis=1).reshape(-1, p.n_r, p.n_t)
-        cb = train_codebook(collected, r_bits, max_iters=max_iters,
-                            rel_tol=rel_tol, seed=seed + rnd)
+        cb = train_codebook(collected, r_bits, seed=seed + rnd)
     cb.training_meta["interval"] = t
     return cb
 

@@ -60,15 +60,15 @@ class FeedbackBudget:
             raise ValueError("c_fb must be > 0")
         if self.r_bits < 0:
             raise ValueError("r_bits must be >= 0")
-        if self.t_blocks < 0:
-            raise ValueError("t_blocks must be >= 0")
+        if self.t_blocks < 1:
+            raise ValueError(f"t_blocks must be >= 1, got {self.t_blocks}")
 
     @classmethod
     def from_rate(cls, r_bits: float, c_fb: float) -> "FeedbackBudget":
-        """Interval from the budget inequality R / T <= C_fb (ceiling)."""
+        """Shortest interval of at least one block with R / T <= C_fb."""
         if c_fb <= 0:
             raise ValueError(f"c_fb must be > 0, got {c_fb}")
-        return cls(c_fb=c_fb, r_bits=r_bits, t_blocks=math.ceil(r_bits / c_fb))
+        return cls(c_fb=c_fb, r_bits=r_bits, t_blocks=max(1, math.ceil(r_bits / c_fb)))
 
 
 @dataclass(frozen=True)

@@ -172,7 +172,7 @@ def direct_capacity(h_hat, h_bar, cfg):
     z = np.sqrt(waterfill(s, cfg.amplitude2, p.n_t).z2)
     j = h_hat @ vh.conj().T[:, :len(s)] @ np.diag(z)
     jj = j @ j.conj().T
-    c = cfg.noise_variance / cfg.amplitude2 + p.n_t * p.psi_variance
+    c = 1.0 / cfg.amplitude2 + p.n_t * p.psi_variance
     f = c * np.eye(p.n_r) + (1.0 - p.ratio) ** 2 * jj
     return cfg.overhead * math.log2(np.linalg.det(np.eye(p.n_r) + jj @ np.linalg.inv(f)).real)
 

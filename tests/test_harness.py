@@ -23,7 +23,7 @@ class TestIntervalFromBudget:
     def test_examples(self):
         assert FeedbackBudget.from_rate(4, 2).t_blocks == 2
         assert FeedbackBudget.from_rate(5, 2).t_blocks == 3
-        assert FeedbackBudget.from_rate(0, 3).t_blocks == 0
+        assert FeedbackBudget.from_rate(0, 3).t_blocks == 1
         assert FeedbackBudget.from_rate(1, 0.5).t_blocks == 2
 
     def test_invalid(self):
@@ -31,6 +31,8 @@ class TestIntervalFromBudget:
             FeedbackBudget.from_rate(4, 0)
         with pytest.raises(ValueError):
             FeedbackBudget.from_rate(-1, 2)
+        with pytest.raises(ValueError):
+            FeedbackBudget(c_fb=1, r_bits=0, t_blocks=0)
 
 
 class TestRenderCsv:
@@ -228,12 +230,37 @@ class TestCli:
         ["fig4", "--seed", "-5"],
         ["fig4", "--workers", "0"],
         ["fig5", "--set", "r_max=17"],
+        ["fig2", "--set", "scenario=fig3"],
+        ["fig2", "--set", "n_t=1.5"],
+        ["fig2", "--set", "c_fb=1 x"],
     ])
     def test_invalid_config_exits_2(self, argv, capsys):
         rc = main(argv)
         assert rc == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+        # the message names every key the command line sets
+        keys = [value.partition("=")[0] if flag == "--set" else flag[2:]
+                for flag, value in zip(argv[1::2], argv[2::2])]
+        assert all(key in err for key in keys), (keys, err)
+
+    @pytest.mark.parametrize("argv,expected", [
+        (["fig2", "--set", "scenario=fig3"], ["scenario=fig3", "fig2"]),
+        (["fig2", "--set", "n_t=1.5"], ["n_t", "integer", "'1.5'"]),
+        (["fig2", "--set", "c_fb=1 x"], ["c_fb", "list of numbers", "'1 x'"]),
+    ])
+    def test_rejection_names_key_and_expectation(self, argv, expected, capsys):
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert all(word in err for word in expected), err
+
+    def test_config_file_bad_value_names_file_line_and_key(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text("trials = 250\nc_fb = 1 x\n")
+        assert main(["fig2", "--config", str(path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:2: c_fb expects a list of numbers")
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("figure,extra", [
         ("fig4", ["--set", "t_max=3", "--set", "c_fb=1 2"]),
