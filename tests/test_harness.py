@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from diffcsi import capacity, lloydfb
 from diffcsi.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, build_parser, main
 from diffcsi.harness import (
     SCENARIOS,
@@ -111,6 +112,26 @@ class TestScenarios:
         for j, c_fb in enumerate(c_fbs):
             alone = table([c_fb])
             assert [row[:1] + row[1 + 2 * j:3 + 2 * j] for row in joint] == alone
+
+    @pytest.mark.parametrize("overrides", [
+        dict(c_fb=[0.15], r_max=1, trials=2100, lloyd_training=200),
+        dict(r_max=7, trials=2, lloyd_training=100),
+    ], ids=["two-chunks", "default-c_fb"])
+    def test_fig5_theory_and_lloyd_substreams_disjoint(self, overrides, monkeypatch):
+        # fig5's theory curve (capacity) and its Lloyd training and sessions
+        # (lloydfb) must not draw from the same (master_seed, stream_id)
+        built = {}
+        for module in (capacity, lloydfb):
+            pairs = built[module.__name__] = set()
+
+            def recording(master_seed, stream_id=0, _pairs=pairs, _cls=module.RngStream):
+                _pairs.add((master_seed, stream_id))
+                return _cls(master_seed, stream_id)
+
+            monkeypatch.setattr(module, "RngStream", recording)
+        run_scenario(ExperimentConfig(scenario="fig5", lloyd_sessions=2, **overrides))
+        theory, lloyd = built["diffcsi.capacity"], built["diffcsi.lloydfb"]
+        assert theory and lloyd and not theory & lloyd, sorted(theory & lloyd)
 
     def test_rerun_byte_identical(self):
         cfg = dict(scenario="fig4", t_min=3, t_max=3, c_fb=[1.0], trials=500, seed=5)
