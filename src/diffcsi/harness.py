@@ -183,11 +183,8 @@ def _scenario_fig4(cfg: ExperimentConfig):
     return header, rows
 
 
-# fig5's master seeds: the theory row of rate R draws from seed + T, with
-# T = ceil(R / C_fb); the Lloyd sessions from seed + 10007 R + s; the Lloyd
-# training from seed + _LLOYD_TRAINING_SEED + 7 R (+ round), whose closed-loop
-# sessions lie far above.  The theory stays clear of the Lloyd seeds while
-# every T < 10007, that is while C_fb > r_max / 10006.
+# fig5's Lloyd training seeds start here, so the theory's seed + T (T = ceil(R / C_fb))
+# meets neither them nor the sessions' seed + 10007 R + s while every T < 10007.
 _LLOYD_TRAINING_SEED = 500_000
 
 
@@ -267,11 +264,10 @@ def parse_config_value(key: str, raw: str):
 
 def parse_config_item(item: str) -> tuple:
     """One `key=value` setting, as a config file line or `--set` holds it."""
-    key, sep, raw = item.partition("=")
+    key, sep, raw = (part.strip() for part in item.partition("="))
     if not sep:
         raise ValueError(f"expected key=value, got {item!r}")
-    key = key.strip()
-    return key, parse_config_value(key, raw.strip())
+    return key, parse_config_value(key, raw)
 
 
 def load_config_file(path) -> dict:

@@ -35,10 +35,8 @@ __all__ = [
 MAX_RATE_BITS = 16  # exhaustive codeword search is 2^R per sample
 NEAREST_BLOCK = 1024  # samples per GEMM block of the codeword search
 _REFILL = 4096  # normals drawn per generator refill of a batched session
-# Lloyd stops after LLOYD_ITERATIONS, or once an iteration improves the
-# distortion by less than LLOYD_MIN_GAIN of its value
-LLOYD_ITERATIONS = 200
-LLOYD_MIN_GAIN = 1e-4
+LLOYD_ITERATIONS = 200  # at most this many Lloyd iterations per training
+LLOYD_MIN_GAIN = 1e-4  # stop once an iteration gains less than this share
 
 CODEBOOK_FORMAT_VERSION = 1
 
@@ -102,10 +100,9 @@ def quantize(h_d: np.ndarray, cb: Codebook):
 def train_codebook(samples: np.ndarray, rate_bits: int, seed: int = 0) -> Codebook:
     """Lloyd training of a 2^R-entry codebook over differential matrices.
 
-    Alternates nearest-neighbor partition and centroid update; stops when
-    the relative distortion improvement drops below LLOYD_MIN_GAIN.  Empty
-    cells are repaired by splitting the centroid of the highest-distortion
-    cell.
+    Alternates nearest-neighbor partition and centroid update (stopping rule:
+    LLOYD_ITERATIONS, LLOYD_MIN_GAIN).  Empty cells are repaired by splitting
+    the centroid of the highest-distortion cell.
     """
     if rate_bits < 1:
         raise ValueError("rate_bits must be >= 1")
