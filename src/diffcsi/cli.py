@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 usage error, 3 numerical/solver failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 from .harness import (
@@ -65,19 +66,20 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _resolve_config(args)
+        # opened before any work, so a path that cannot be written costs no run
+        out = (open(args.out, "w", encoding="utf-8", newline="") if args.out
+               else contextlib.nullcontext(sys.stdout))
     except (KeyError, ValueError, TypeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the quoted repr of its message
+        print(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        csv_text = run_scenario(cfg)
-    except (SolverError, FloatingPointError, ArithmeticError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(csv_text)
-    else:
-        sys.stdout.write(csv_text)
+    with out as fh:
+        try:
+            csv_text = run_scenario(cfg)
+        except (SolverError, FloatingPointError, ArithmeticError) as exc:
+            print(f"numerical failure: {exc}", file=sys.stderr)
+            return EXIT_NUMERICAL
+        fh.write(csv_text)
     return EXIT_OK
 
 

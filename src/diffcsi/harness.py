@@ -185,6 +185,8 @@ def _scenario_fig4(cfg: ExperimentConfig):
 
 # fig5's Lloyd training seeds start here, so the theory's seed + T (T = ceil(R / C_fb))
 # meets neither them nor the sessions' seed + 10007 R + s while every T < 10007.
+# Rate R trains its rounds on seed + _LLOYD_TRAINING_SEED + spacing * R + round,
+# and spacing >= lloyd_rounds keeps one rate's rounds off the next rate's.
 _LLOYD_TRAINING_SEED = 500_000
 
 
@@ -205,7 +207,8 @@ def _scenario_fig5(cfg: ExperimentConfig):
         )
         cb = lloydfb.bootstrap_codebook(
             ccfg, budget, n_samples=max(cfg.lloyd_training, 100 * 2 ** r_bits),
-            seed=cfg.seed + _LLOYD_TRAINING_SEED + 7 * r_bits, rounds=cfg.lloyd_rounds,
+            seed=cfg.seed + _LLOYD_TRAINING_SEED + max(7, cfg.lloyd_rounds) * r_bits,
+            rounds=cfg.lloyd_rounds,
         )
         seeds = [cfg.seed + 10007 * r_bits + s for s in range(cfg.lloyd_sessions)]
         per_block = lloydfb.run_feedback_session(ccfg, budget, cb, n_blocks=12 * t, seeds=seeds)

@@ -167,14 +167,14 @@ def x_to_interval(params: ChannelParams, x: float) -> float:
     return x / (2.0 * math.pi * params.f_d * params.t_block)
 
 
-def distortion_derivative(params: ChannelParams, c_fb: float, x: float) -> float:
+def distortion_derivative(params: ChannelParams, c_fb: float, x):
     """d/dx of the distortion curve in the dimensionless variable x.
 
     Closed form in terms of J0, J1 and k; shares the sign structure used
     by the bracketed solver (negative near 0, positive at 3/2 for the
-    parameter regimes of interest).
+    parameter regimes of interest).  x may be a float or an array.
     """
-    if x <= 0:
+    if np.any(np.asarray(x) <= 0):
         raise ValueError(f"x must be > 0, got {x}")
     r = params.ratio
     k = exponent_constant(params, c_fb)
@@ -198,27 +198,21 @@ def optimal_interval(params: ChannelParams, c_fb: float) -> IntervalOptimum:
         raise ValueError("c_fb must be > 0")
     k = exponent_constant(params, c_fb)
 
-    lo, hi = 1e-8, 1.5
-    grid = np.linspace(lo, hi, 4097)
-    vals = [distortion_derivative(params, c_fb, float(x)) for x in grid]
-    bracket = None
-    for i in range(len(grid) - 1):
-        if vals[i] < 0.0 <= vals[i + 1]:
-            bracket = (float(grid[i]), float(grid[i + 1]))
-            break
-    if bracket is None:
+    grid = np.linspace(1e-8, 1.5, 4097)
+    vals = distortion_derivative(params, c_fb, grid)
+    rising = np.flatnonzero((vals[:-1] < 0.0) & (vals[1:] >= 0.0))
+    if rising.size == 0:
         raise SolverError(
             "no sign change of the distortion derivative in (0, 1.5); "
             f"params={params!r}, c_fb={c_fb}, k={k}"
         )
 
-    a, b = bracket
-    fa = distortion_derivative(params, c_fb, a)
+    # the derivative is negative at a throughout
+    a, b = float(grid[rising[0]]), float(grid[rising[0] + 1])
     while b - a > 1e-10:
         mid = 0.5 * (a + b)
-        fm = distortion_derivative(params, c_fb, mid)
-        if (fa < 0) == (fm < 0):
-            a, fa = mid, fm
+        if distortion_derivative(params, c_fb, mid) < 0:
+            a = mid
         else:
             b = mid
     x_opt = 0.5 * (a + b)

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from diffcsi import capacity, lloydfb
+from diffcsi import capacity, cli, lloydfb
 from diffcsi.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, build_parser, main
 from diffcsi.harness import (
     SCENARIOS,
@@ -133,6 +133,22 @@ class TestScenarios:
         theory, lloyd = built["diffcsi.capacity"], built["diffcsi.lloydfb"]
         assert theory and lloyd and not theory & lloyd, sorted(theory & lloyd)
 
+    def test_fig5_lloyd_rounds_train_on_distinct_seeds(self, monkeypatch):
+        # with more rounds than the rates' seed spacing of 7, rate R's last
+        # rounds would otherwise reuse rate R + 1's first training seeds
+        seeds = []
+        train = lloydfb.train_codebook
+
+        def recording(samples, rate_bits, seed=0):
+            seeds.append(seed)
+            return train(samples, rate_bits, seed=seed)
+
+        monkeypatch.setattr(lloydfb, "train_codebook", recording)
+        run_scenario(ExperimentConfig(scenario="fig5", r_max=2, lloyd_rounds=8, trials=2,
+                                      lloyd_sessions=2, lloyd_training=100))
+        assert len(seeds) == 16
+        assert len(set(seeds)) == len(seeds), sorted(seeds)
+
     def test_rerun_byte_identical(self):
         cfg = dict(scenario="fig4", t_min=3, t_max=3, c_fb=[1.0], trials=500, seed=5)
         assert run_scenario(ExperimentConfig(**cfg)) == run_scenario(ExperimentConfig(**cfg))
@@ -220,7 +236,18 @@ class TestCli:
     def test_usage_error_unknown_key(self, capsys):
         rc = main(["fig3", "--set", "bogus=1"])
         assert rc == EXIT_USAGE
-        assert "error:" in capsys.readouterr().err
+        # the message bare, as every other rejection prints it, not a quoted repr
+        assert capsys.readouterr().err == "error: unknown config key 'bogus'\n"
+
+    def test_unwritable_out_exits_2_before_any_work(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "missing" / "x.csv"
+        runs = []
+        monkeypatch.setattr(cli, "run_scenario", lambda cfg: runs.append(cfg) or "")
+        assert main(["fig2", "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err
+        assert "Traceback" not in err
+        assert runs == [] and not out.parent.exists()
 
     def test_usage_error_missing_config(self, capsys):
         rc = main(["fig3", "--config", "/nonexistent/file.cfg"])

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -58,6 +62,49 @@ class TestBessel:
             bessel_j0(bad)
         with pytest.raises(ValueError):
             bessel_j1(bad)
+
+
+class TestBesselBranches:
+    """The trapezoid branch below |x| = 25 and the Hankel branch from 25 on."""
+
+    # both sides of the branch boundary, then log-spaced out to 1e8
+    XS = np.concatenate([
+        [24.0, 24.9, np.nextafter(25.0, 0.0), 25.0, np.nextafter(25.0, 30.0), 25.1, 26.0],
+        np.logspace(-3, 8, 221),
+    ])
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_matches_mpmath_both_branches(self, sign):
+        mp = pytest.importorskip("mpmath")
+        xs = sign * self.XS
+        j0, j1 = bessel_j0(xs), bessel_j1(xs)
+        with mp.workdps(40):
+            for x, got0, got1 in zip(xs, j0, j1):
+                # mpmath evaluates at the negative argument itself, so this
+                # also checks that J0 is even and J1 is odd
+                assert abs(got0 - float(mp.besselj(0, float(x)))) < 1e-14, x
+                assert abs(got1 - float(mp.besselj(1, float(x)))) < 1e-14, x
+
+    @pytest.mark.parametrize("fn", [bessel_j0, bessel_j1])
+    def test_array_bitwise_equals_scalar_calls(self, fn):
+        xs = np.concatenate([[0.0, -0.0, 25.0, -25.0], np.linspace(-60.0, 60.0, 97),
+                             np.logspace(0, 8, 31)]).reshape(-1, 2)
+        got = fn(xs)
+        assert got.shape == xs.shape
+        each = np.array([[fn(float(x)) for x in row] for row in xs])
+        assert got.tobytes() == each.tobytes()
+        assert type(fn(1.0)) is float
+
+    def test_import_does_not_load_scipy(self):
+        code = ("import sys\n"
+                "import diffcsi.cli\n"
+                "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+                "raise SystemExit(f'scipy imported: {loaded}' if loaded else 0)\n")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestComplexGaussian:
