@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelParams, advance, autocorrelation, estimate
-from .mathcore import RngStream, check_finite, sample_cn
+from .mathcore import RngStream, _Prefetch, check_finite, sample_cn
 from .ratedist import FeedbackBudget
 
 __all__ = [
@@ -248,7 +248,9 @@ def feedback_loop(cfg: CapacityConfig, t: int, n_blocks: int, discard: int, quan
     Only blocks something reads are visited: the epochs and the counted
     blocks.  Between two visited blocks k apart the channel takes one exact
     AR(1) jump with coefficient alpha^k, so a discarded cold start draws
-    only at its epochs; with discard = 0 every block is visited.
+    only at its epochs; with discard = 0 every block is visited.  The last
+    epoch's H_bar forms no precoder unless its own period is the first, as
+    no later block reads it.
     """
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
@@ -276,7 +278,9 @@ def _feedback_blocks(cfg, t, n_blocks, discard, quantize, h, rng):
         h_hat = estimate(h, p, rng)
         if n % t == 0:
             h_bar = quantize(h_hat, h_bar)
-            prec, held = held, _held_precoder(h_bar, cfg)
+            # a precoder is read from the next epoch on, or at once at the first
+            fresh = _held_precoder(h_bar, cfg) if n == 0 or n + t < n_blocks else None
+            prec, held = held, fresh
             if prec is None:
                 prec = held
         if n >= discard:
@@ -290,37 +294,38 @@ def _simulate_chunk(args):
     """
     cfg, budget, distortions, n_trials, seed, chunk_id, periods, mode = args
     p = cfg.params
-    rng = RngStream(seed, chunk_id).generator()
     t = budget.t_blocks
     shape = (n_trials, p.n_r, p.n_t)
     # sample_cn's layout and scaling, sqrt(d / 2) * [re, im], with one draw
     # of standard normals shared by every distortion d (d-major leading axis)
     scale = np.sqrt(np.asarray(distortions) / 2.0)[:, None, None, None, None]
+    # a second thread draws the chunk's normals ahead while this one computes;
+    # every value read is the generator's own, in the generator's order
+    with _Prefetch(RngStream(seed, chunk_id).generator()) as rng:
+        def gaussian_quantizer(h_hat, h_bar):
+            return h_hat - (scale * rng.standard_normal((*shape, 2))).view(complex)[..., 0]
 
-    def gaussian_quantizer(h_hat, h_bar):
-        return h_hat - (scale * rng.standard_normal((*shape, 2))).view(complex)[..., 0]
+        if mode == "simulate":
+            # the Gaussian test channel; the cold-start period is excluded
+            h = sample_cn(shape, p.sigma_h2, rng)
+            blocks = _feedback_blocks(cfg, t, (periods + 1) * t, t, gaussian_quantizer, h, rng)
+            n_blocks = periods * t
+        else:
+            # independent per-block snapshots with the effective distortion d
+            def snapshots():
+                for _ in range(periods):
+                    h_hat = estimate(sample_cn(shape, p.sigma_h2, rng), p, rng)
+                    h_bar = gaussian_quantizer(h_hat, None)
+                    yield _capacity_batch(h_hat, _held_precoder(h_bar, cfg), cfg)
 
-    if mode == "simulate":
-        # the Gaussian test channel; the cold-start period is excluded
-        h = sample_cn(shape, p.sigma_h2, rng)
-        blocks = _feedback_blocks(cfg, t, (periods + 1) * t, t, gaussian_quantizer, h, rng)
-        n_blocks = periods * t
-    else:
-        # independent per-block snapshots with the effective distortion d
-        def snapshots():
-            for _ in range(periods):
-                h_hat = estimate(sample_cn(shape, p.sigma_h2, rng), p, rng)
-                yield _capacity_batch(h_hat, _held_precoder(gaussian_quantizer(h_hat, None), cfg),
-                                      cfg)
-
-        blocks = snapshots()
-        n_blocks = periods
-    # a running sum in block order, as np.stack(blocks).mean(axis=0) sums a
-    # chunk of more than one trial, without holding every block's capacities
-    total = next(blocks)
-    for caps in blocks:
-        total += caps
-    return total / n_blocks
+            blocks = snapshots()
+            n_blocks = periods
+        # a running sum in block order, as np.stack(blocks).mean(axis=0) sums a
+        # chunk of more than one trial, without holding every block's capacities
+        total = next(blocks)
+        for caps in blocks:
+            total += caps
+        return total / n_blocks
 
 
 def ergodic_capacity(

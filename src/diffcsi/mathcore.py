@@ -1,12 +1,14 @@
 """Deterministic numerical primitives shared by every other module.
 
-Bessel J0 and J1 (numpy only), seeded random substreams, complex Gaussian sampling
-and the finiteness check.
+Bessel J0 and J1 (numpy only), seeded random substreams, a prefetching
+normal stream, complex Gaussian sampling and the finiteness check.
 """
 
 from __future__ import annotations
 
 import math
+import queue
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,19 +68,22 @@ def _bessel(x, order: int):
     ax = np.abs(arr).reshape(-1)
     out = np.empty_like(ax)
     near = ax < _HANKEL_FROM
-    phase = ax[near, None] * _SIN_NODES
-    integrand = np.cos(phase) if order == 0 else _SIN_NODES * np.sin(phase)
-    out[near] = integrand.mean(axis=1)
-    far = ax[~near]
-    p_coef, q_coef = _HANKEL[order]
-    inv2 = 1.0 / (far * far)
-    p = np.polyval(p_coef, inv2)
-    q = np.polyval(q_coef, inv2) / far
-    c, s = np.cos(far), np.sin(far)
-    if order == 0:
-        out[~near] = ((c + s) * p + (c - s) * q) / np.sqrt(math.pi * far)
-    else:
-        out[~near] = ((s - c) * p + (s + c) * q) / np.sqrt(math.pi * far)
+    if np.any(near):
+        phase = ax[near, None] * _SIN_NODES
+        integrand = np.cos(phase) if order == 0 else _SIN_NODES * np.sin(phase)
+        out[near] = integrand.mean(axis=1)
+    if not np.all(near):
+        far = ax[~near]
+        p_coef, q_coef = _HANKEL[order]
+        inv2 = 1.0 / (far * far)
+        p = np.polyval(p_coef, inv2)
+        q = np.polyval(q_coef, inv2) / far
+        c, s = np.cos(far), np.sin(far)
+        if order == 0:
+            out[~near] = ((c + s) * p + (c - s) * q) / np.sqrt(math.pi * far)
+        else:
+            out[~near] = ((s - c) * p + (s + c) * q) / np.sqrt(math.pi * far)
+    if order == 1:
         out = np.where(arr.reshape(-1) < 0, -out, out)  # J1 is odd
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
@@ -110,6 +115,68 @@ class RngStream:
         return np.random.default_rng(
             np.random.SeedSequence(entropy=self.master_seed, spawn_key=(self.stream_id,))
         )
+
+
+_PREFETCH = 1 << 14  # normals per batch the prefetch thread draws
+
+
+class _Prefetch:
+    """A generator's standard normals, drawn ahead on one daemon thread.
+
+    Used as a context manager around a Generator: standard_normal(shape)
+    returns the generator's next prod(shape) normals, in order, which are
+    the values the generator itself would return, since its normals do not
+    depend on how its draws are split.  The thread keeps up to two batches
+    of _PREFETCH normals queued while the caller computes, and calls nothing
+    but the generator.  An error it hits is raised at the caller's next
+    read; leaving the block stops and joins the thread.
+    """
+
+    def __init__(self, gen: np.random.Generator):
+        self._gen = gen
+        self._queue = queue.Queue(maxsize=2)
+        self._stop = threading.Event()
+        self._thread = threading.Thread(target=self._produce, name="diffcsi-prefetch",
+                                        daemon=True)
+        self._buf = np.empty(0)
+
+    def _produce(self) -> None:
+        try:
+            while not self._stop.is_set():
+                self._queue.put(self._gen.standard_normal(_PREFETCH))
+        except BaseException as exc:  # the reader raises it; a lost error would hang it
+            self._queue.put(exc)
+
+    def __enter__(self) -> "_Prefetch":
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        # the stop is set before the drain, so the thread puts at most one
+        # more item, into a queue with room, and then returns
+        self._stop.set()
+        while True:
+            try:
+                self._queue.get_nowait()
+            except queue.Empty:
+                break
+        self._thread.join()
+
+    def standard_normal(self, shape) -> np.ndarray:
+        k = math.prod(shape)
+        parts, have = [self._buf], self._buf.size
+        while have < k:
+            batch = self._queue.get()
+            if isinstance(batch, BaseException):
+                self._queue.put(batch)  # a later read raises it as well
+                raise batch
+            parts.append(batch)
+            have += batch.size
+        # a read that starts on a batch boundary and takes one batch is no copy
+        parts = [a for a in parts if a.size] or [self._buf]
+        flat = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        self._buf = flat[k:]
+        return flat[:k].reshape(shape)
 
 
 def sample_cn(shape: tuple, variance: float, rng: np.random.Generator) -> np.ndarray:

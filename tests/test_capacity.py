@@ -21,7 +21,7 @@ from diffcsi.capacity import (
     waterfill_batch,
 )
 from diffcsi.channel import ChannelParams, autocorrelation
-from diffcsi.mathcore import RngStream, sample_cn
+from diffcsi.mathcore import RngStream, _Prefetch, sample_cn
 from diffcsi.ratedist import FeedbackBudget, distortion_from_rate
 
 
@@ -347,7 +347,8 @@ class TestErgodicCapacity:
         budget = FeedbackBudget(c_fb=1.0, r_bits=2.0, t_blocks=2)
         [(m0, _), (m1, _)] = ergodic_capacity(cap_cfg, budget, [0.0, 0.4], trials=50,
                                               seed=4, periods=3, mode=mode)
-        assert held == [(True, False)] * (4 if mode == "simulate" else 3)
+        # simulate: epochs 0, 2 and 4 of 8 blocks; the last, 6, forms no precoder
+        assert held == [(True, False)] * 3
         assert math.isfinite(m0) and math.isfinite(m1)
 
     @pytest.mark.parametrize("ds", [[], [float("nan")], [0.2, float("inf")], [0.2, -0.1],
@@ -393,14 +394,16 @@ class TestFeedbackLoop:
                           RngStream(1, 0).generator())
 
 
-class _CountingRng:
-    """A generator wrapper that counts the standard normals drawn."""
+class _CountingPrefetch(_Prefetch):
+    """The chunk's prefetched stream, counting the standard normals the
+    chunk reads rather than the batches the prefetch thread draws."""
 
     def __init__(self, gen):
-        self.gen, self.normals = gen, 0
+        super().__init__(gen)
+        self.normals = 0
 
     def standard_normal(self, shape):
-        out = self.gen.standard_normal(shape)
+        out = super().standard_normal(shape)
         self.normals += out.size
         return out
 
@@ -428,12 +431,19 @@ class TestDrawBudget:
         # distortions share one draw, so they take exactly the normals of one.
         budget = FeedbackBudget(c_fb=1.0, r_bits=t, t_blocks=t)
         b = 3
+        streams = []
+
+        def counted(gen):
+            streams.append(_CountingPrefetch(gen))
+            return streams[-1]
+
+        monkeypatch.setattr(capacity, "_Prefetch", counted)
         for ds in ([0.2], [0.05, 0.2, 0.6, 1.3]):
-            counter = _CountingRng(RngStream(1, 0).generator())
-            monkeypatch.setattr(capacity.RngStream, "generator", lambda self: counter)
+            streams.clear()
             out = capacity._simulate_chunk((cap_cfg, budget, ds, b, 1, 0, periods, mode))
             assert out.shape == (len(ds), b)
-            assert counter.normals == expect * b
+            [stream] = streams
+            assert stream.normals == expect * b
 
     def test_no_discard_estimates_every_block(self, params, cap_cfg, monkeypatch):
         estimates, advances = _spy(monkeypatch, "estimate"), _spy(monkeypatch, "advance")
@@ -444,6 +454,18 @@ class TestDrawBudget:
         assert len(estimates) == 10
         # one single step between consecutive blocks, none after the last
         assert [a[1] for a in advances] == [autocorrelation(params, 1.0)] * 9
+
+    @pytest.mark.parametrize("t, n_blocks, discard, expect", [
+        (3, 10, 0, 3), (5, 10, 5, 1), (5, 5, 0, 1), (1, 4, 1, 3), (4, 12, 4, 2)])
+    def test_precoder_once_per_epoch_but_the_last(self, params, cap_cfg, monkeypatch, t,
+                                                  n_blocks, discard, expect):
+        # epochs at n % t == 0; the last one's precoder is read by no block,
+        # unless it is also the first, whose own period reads it
+        precoders = _spy(monkeypatch, "_held_precoder")
+        rng = RngStream(5, 0).generator()
+        h = sample_cn((4, 2, 2), params.sigma_h2, rng)
+        feedback_loop(cap_cfg, t, n_blocks, discard, lambda h_hat, h_bar: h_hat, h, rng)
+        assert len(precoders) == expect
 
     def test_discarded_cold_start_is_jumped(self, params, cap_cfg, monkeypatch):
         advances = _spy(monkeypatch, "advance")

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diffcsi.mathcore import RngStream, bessel_j0, bessel_j1, sample_cn
+from diffcsi.mathcore import _PREFETCH, RngStream, _Prefetch, bessel_j0, bessel_j1, sample_cn
 
 J0_FIRST_ZERO = 2.404825557695773
 
@@ -148,6 +149,96 @@ class TestComplexGaussian:
         s3_after = sample_cn((2, 2), 1.0, RngStream(42, 3).generator())
         assert np.array_equal(s3_first, s3_after)
         assert np.array_equal(s1_after, s1_first)
+
+
+def _prefetch_threads():
+    return [t for t in threading.enumerate() if t.name == "diffcsi-prefetch"]
+
+
+class _FailingGenerator:
+    """Returns `good` batches of normals, then raises."""
+
+    def __init__(self, good):
+        self.gen, self.good = RngStream(3, 0).generator(), good
+
+    def standard_normal(self, size):
+        if self.good == 0:
+            raise RuntimeError("generator failed")
+        self.good -= 1
+        return self.gen.standard_normal(size)
+
+
+class TestPrefetch:
+    def test_draws_bitwise_equal_the_generator(self):
+        # reads smaller than, equal to and several times the batch, and
+        # reads that straddle batch boundaries
+        shapes = [(5,), (_PREFETCH,), (3, 2, 2, 2), (3, _PREFETCH), (0,),
+                  (2, _PREFETCH + 1), (1,), (4, 2048, 2, 2, 2), (_PREFETCH - 7,)]
+        with _Prefetch(RngStream(9, 4).generator()) as rng:
+            got = [rng.standard_normal(shape) for shape in shapes]
+        assert [g.shape for g in got] == shapes
+        flat = np.concatenate([g.reshape(-1) for g in got])
+        want = RngStream(9, 4).generator().standard_normal(flat.size)
+        assert np.array_equal(flat, want)
+
+    def test_sample_cn_reads_through_the_stream(self):
+        with _Prefetch(RngStream(9, 5).generator()) as rng:
+            got = [sample_cn((64, 2, 2), 0.7, rng) for _ in range(3)]
+        gen = RngStream(9, 5).generator()
+        assert all(np.array_equal(g, sample_cn((64, 2, 2), 0.7, gen)) for g in got)
+
+    def test_concurrent_streams_under_fast_switching(self):
+        # more streams than cores, with the interpreter switching threads
+        # every microsecond: each reader still gets its generator's normals
+        sizes = [3, _PREFETCH, 5 * _PREFETCH + 11, 7, 2 * _PREFETCH]
+        results = {}
+
+        def read(i):
+            with _Prefetch(RngStream(11, i).generator()) as rng:
+                results[i] = np.concatenate([rng.standard_normal((k,)) for k in sizes])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            readers = [threading.Thread(target=read, args=(i,), daemon=True) for i in range(6)]
+            for r in readers:
+                r.start()
+            for r in readers:
+                r.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(r.is_alive() for r in readers), "a reader hung"
+        for i in range(6):
+            want = RngStream(11, i).generator().standard_normal(sum(sizes))
+            assert np.array_equal(results[i], want)
+        assert _prefetch_threads() == []
+
+    def test_exception_in_block_stops_the_thread(self):
+        with pytest.raises(KeyError):
+            with _Prefetch(RngStream(1, 0).generator()) as rng:
+                rng.standard_normal((10,))
+                assert len(_prefetch_threads()) == 1
+                raise KeyError("boom")
+        assert _prefetch_threads() == []
+
+    @pytest.mark.parametrize("good", [0, 3])
+    def test_producer_error_reaches_the_reader(self, good):
+        caught = []
+
+        def read():
+            try:
+                with _Prefetch(_FailingGenerator(good)) as rng:
+                    for _ in range(good + 1):
+                        rng.standard_normal((_PREFETCH,))
+            except RuntimeError as exc:
+                caught.append(exc)
+
+        reader = threading.Thread(target=read, daemon=True)
+        reader.start()
+        reader.join(timeout=30)
+        assert not reader.is_alive(), "the reader hung on a failed producer"
+        assert [str(e) for e in caught] == ["generator failed"]
+        assert _prefetch_threads() == []
 
 
 @given(st.integers(min_value=0, max_value=2**63 - 1),
