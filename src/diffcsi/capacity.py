@@ -22,28 +22,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelParams, advance, autocorrelation, estimate
-from .mathcore import RngStream, _Prefetch, check_finite, sample_cn
+from .mathcore import RngStream, _Prefetch, sample_cn
 from .ratedist import FeedbackBudget
 
 __all__ = [
-    "PowerAllocation",
     "CapacityConfig",
-    "waterfill",
     "waterfill_batch",
-    "block_capacity",
     "feedback_loop",
     "ergodic_capacity",
 ]
 
 CHUNK_TRIALS = 2048  # fixed chunking keeps results worker-count invariant
-
-
-@dataclass(frozen=True)
-class PowerAllocation:
-    """Per-eigenmode power weights z_i^2 with water level mu."""
-
-    z2: np.ndarray
-    mu: float
 
 
 @dataclass(frozen=True)
@@ -73,35 +62,6 @@ class CapacityConfig:
         return (self.l_block - self.params.n_t) / self.l_block
 
 
-def waterfill(gammas: np.ndarray, amplitude2: float, n_t: int) -> PowerAllocation:
-    """Water-fill total power N_t over eigenmodes with gains gammas.
-
-    Active modes get z_i^2 = mu - 1/(gamma_i^2 A^2); the weakest mode is
-    deactivated until every active allocation is positive.
-    """
-    gammas = np.asarray(gammas, dtype=float)
-    if amplitude2 <= 0:
-        raise ValueError("amplitude2 must be > 0")
-    if np.any(gammas < 0) or np.any(np.diff(gammas) > 0):
-        raise ValueError("gammas must be non-negative and sorted descending")
-    if not np.any(gammas > 0):
-        raise ValueError("all eigenmode gains are zero; nothing to allocate")
-
-    inv = np.full(len(gammas), np.inf)
-    live = gammas > 0
-    inv[live] = 1.0 / (gammas[live] ** 2 * amplitude2)
-    m = len(gammas)
-    for k in range(m, 0, -1):
-        if not np.isfinite(inv[k - 1]):
-            continue
-        mu = (n_t + inv[:k].sum()) / k
-        if mu > inv[k - 1]:
-            z2 = np.zeros(m)
-            z2[:k] = mu - inv[:k]
-            return PowerAllocation(z2=z2, mu=mu)
-    raise RuntimeError("water-filling failed to find an active set")  # unreachable
-
-
 def waterfill_batch(gammas: np.ndarray, amplitude2: float, n_t: int) -> np.ndarray:
     """Vectorized water-filling: gammas (B, m) descending -> z2 (B, m)."""
     g2 = np.maximum(gammas, 0.0) ** 2 * amplitude2
@@ -129,19 +89,6 @@ def _kernel_constants(cfg: CapacityConfig):
 
 def _is_2x2(m: np.ndarray) -> bool:
     return m.shape[-2:] == (2, 2)
-
-
-def block_capacity(h_hat: np.ndarray, h_bar: np.ndarray, cfg: CapacityConfig) -> float:
-    """Per-block capacity in bits/s/Hz with precoder derived from h_bar.
-
-    h_bar is the transmitter's (possibly outdated, quantized) channel;
-    h_hat is the receiver's current estimate.  A batch of one through the
-    Monte Carlo path.
-    """
-    h_hat = check_finite(np.asarray(h_hat), "h_hat")
-    h_bar = check_finite(np.asarray(h_bar), "h_bar")
-    p = _held_precoder(h_bar[None, :, :], cfg)
-    return float(_capacity_batch(h_hat[None, :, :], p, cfg)[0])
 
 
 def _held_precoder(h_bar: np.ndarray, cfg: CapacityConfig) -> np.ndarray:

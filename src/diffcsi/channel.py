@@ -3,8 +3,9 @@
 The fading process is a first-order autoregression across blocks, with
 the correlation coefficient tied to the Doppler spread through J0.  The
 estimated channel is the true channel plus an independent complex
-Gaussian error, and the regression decomposition splits the true channel
-into a scaled estimate plus an independent residual.
+Gaussian error.  ChannelParams carries the regression split of the true
+channel into a scaled estimate plus an independent residual (ratio,
+psi_variance).
 """
 
 from __future__ import annotations
@@ -14,14 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mathcore import bessel_j0, check_finite, sample_cn
+from .mathcore import bessel_j0, sample_cn
 
 __all__ = [
     "ChannelParams",
     "autocorrelation",
     "advance",
     "estimate",
-    "regression_decompose",
 ]
 
 
@@ -104,15 +104,3 @@ def estimate(h: np.ndarray, params: ChannelParams, rng: np.random.Generator) -> 
     """
     h = np.asarray(h)
     return h + sample_cn(h.shape, params.sigma_e2, rng)
-
-
-def regression_decompose(h_hat: np.ndarray, params: ChannelParams):
-    """Split H into the conditional mean given H_hat plus residual stats.
-
-    Returns (mean_part, psi_variance): the conditional law of H given
-    H_hat is CN(mean_part per entry, psi_variance), with
-    mean_part = (sigma_h2/sigma_hhat2) * H_hat and
-    psi_variance = sigma_h2 * sigma_e2 / sigma_hhat2.
-    """
-    h_hat = check_finite(np.asarray(h_hat), "h_hat")
-    return params.ratio * h_hat, params.psi_variance

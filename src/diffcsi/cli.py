@@ -6,7 +6,7 @@ Exit codes: 0 success, 2 usage error, 3 numerical/solver failure.
 from __future__ import annotations
 
 import argparse
-import contextlib
+import os
 import sys
 
 from .harness import (
@@ -61,25 +61,38 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     return ExperimentConfig(**values)
 
 
+def _check_writable(path) -> None:
+    """Raise OSError unless path can be opened for writing; a file this
+    check creates is removed again, and an existing one keeps its bytes."""
+    existed = os.path.exists(path)
+    os.close(os.open(path, os.O_WRONLY | os.O_CREAT))
+    if not existed:
+        os.remove(path)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         cfg = _resolve_config(args)
-        # opened before any work, so a path that cannot be written costs no run
-        out = (open(args.out, "w", encoding="utf-8", newline="") if args.out
-               else contextlib.nullcontext(sys.stdout))
+        # checked before any work, so a path that cannot be written costs no run
+        if args.out:
+            _check_writable(args.out)
     except (KeyError, ValueError, TypeError, OSError) as exc:
         # str() of a KeyError is the quoted repr of its message
         print(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)
         return EXIT_USAGE
-    with out as fh:
-        try:
-            csv_text = run_scenario(cfg)
-        except (SolverError, FloatingPointError, ArithmeticError) as exc:
-            print(f"numerical failure: {exc}", file=sys.stderr)
-            return EXIT_NUMERICAL
-        fh.write(csv_text)
+    try:
+        csv_text = run_scenario(cfg)
+    except (SolverError, FloatingPointError, ArithmeticError) as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    # written only once the run succeeded, so a failed run leaves --out untouched
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            fh.write(csv_text)
+    else:
+        sys.stdout.write(csv_text)
     return EXIT_OK
 
 

@@ -55,7 +55,6 @@ class ExperimentConfig:
     trials: int = 1000
     lloyd_sessions: int = 50
     lloyd_training: int = 20000
-    lloyd_rounds: int = 1
     seed: int = 12345
     workers: int = 1
 
@@ -80,8 +79,8 @@ class ExperimentConfig:
                              f"got {self.trials}, {self.lloyd_sessions}")
         if not 1 <= self.r_max <= lloydfb.MAX_RATE_BITS:
             raise ValueError(f"r_max must be in 1..{lloydfb.MAX_RATE_BITS}, got {self.r_max}")
-        if self.lloyd_rounds < 1:
-            raise ValueError(f"lloyd_rounds must be >= 1, got {self.lloyd_rounds}")
+        if self.lloyd_training < 1:
+            raise ValueError(f"lloyd_training must be >= 1, got {self.lloyd_training}")
         if self.seed < 0 or self.workers < 1:
             raise ValueError(f"seed must be >= 0 and workers >= 1, "
                              f"got {self.seed}, {self.workers}")
@@ -185,8 +184,6 @@ def _scenario_fig4(cfg: ExperimentConfig):
 
 # fig5's Lloyd training seeds start here, so the theory's seed + T (T = ceil(R / C_fb))
 # meets neither them nor the sessions' seed + 10007 R + s while every T < 10007.
-# Rate R trains its rounds on seed + _LLOYD_TRAINING_SEED + spacing * R + round,
-# and spacing >= lloyd_rounds keeps one rate's rounds off the next rate's.
 _LLOYD_TRAINING_SEED = 500_000
 
 
@@ -207,8 +204,7 @@ def _scenario_fig5(cfg: ExperimentConfig):
         )
         cb = lloydfb.bootstrap_codebook(
             ccfg, budget, n_samples=max(cfg.lloyd_training, 100 * 2 ** r_bits),
-            seed=cfg.seed + _LLOYD_TRAINING_SEED + max(7, cfg.lloyd_rounds) * r_bits,
-            rounds=cfg.lloyd_rounds,
+            seed=cfg.seed + _LLOYD_TRAINING_SEED + 7 * r_bits,
         )
         seeds = [cfg.seed + 10007 * r_bits + s for s in range(cfg.lloyd_sessions)]
         per_block = lloydfb.run_feedback_session(ccfg, budget, cb, n_blocks=12 * t, seeds=seeds)

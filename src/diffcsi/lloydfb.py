@@ -172,7 +172,7 @@ def open_loop_training_samples(
     """Differential samples assuming the rate-distortion quantization error.
 
     H_d = H_hat_n - H_bar_{n-1} with H_bar_{n-1} = H_hat_{n-1} - E,
-    E ~ CN(0, d(alpha(T), R)); cheaper than closed-loop bootstrapping.
+    E ~ CN(0, d(alpha(T), R)).
     """
     rng = stream.generator()
     alpha = autocorrelation(params, budget.t_blocks)
@@ -183,15 +183,10 @@ def open_loop_training_samples(
     return estimate(advance(h_prev, alpha, params, rng), params, rng) - h_bar_prev
 
 
-def _codebook_quantizer(cb: Codebook, record: list | None = None):
-    """The codebook as a feedback_loop quantizer: H_bar + C[nearest(H_hat - H_bar)].
-
-    Each pre-quantization difference H_hat - H_bar is appended to record.
-    """
+def _codebook_quantizer(cb: Codebook):
+    """The codebook as a feedback_loop quantizer: H_bar + C[nearest(H_hat - H_bar)]."""
     def quantize_step(h_hat, h_bar):
         h_d = h_hat - h_bar                                    # step 1
-        if record is not None:
-            record.append(h_d)
         # steps 2-4: nearest index, sent losslessly, accumulated on both sides
         return h_bar + quantize(h_d, cb)[1]
 
@@ -255,26 +250,14 @@ def bootstrap_codebook(
     budget: FeedbackBudget,
     n_samples: int,
     seed: int,
-    rounds: int,
 ) -> Codebook:
-    """Closed-loop codebook training.
-
-    Round 0 trains on open-loop samples; each further round regenerates
-    differential samples by running sessions with the current codebook and
-    retrains, since the statistics of H_d depend on the quantizer itself.
-    """
+    """Open-loop training: a codebook trained on n_samples open-loop
+    differential samples drawn from RngStream(seed, 1)."""
     p = cfg.params
     t = budget.t_blocks
     r_bits = int(round(budget.r_bits))
     samples = open_loop_training_samples(p, budget, n_samples, RngStream(seed, 1))
     cb = train_codebook(samples, r_bits, seed=seed)
-    for rnd in range(1, rounds):
-        # 64 epochs per session after the cold start, stacked session-major
-        diffs = []
-        seeds = [(seed * 1000 + rnd) * 131 + s for s in range(-(-n_samples // 64))]
-        _sessions(cfg, t, _codebook_quantizer(cb, diffs), 65 * t, seeds)
-        collected = np.stack(diffs[1:], axis=1).reshape(-1, p.n_r, p.n_t)
-        cb = train_codebook(collected, r_bits, seed=seed + rnd)
     cb.training_meta["interval"] = t
     return cb
 

@@ -4,9 +4,7 @@ Everything here is analytic: the conditional mutual-information lower
 bound, the minimum feedback rate it implies, its inversion to distortion
 at a given rate, the causal (one-interval-delayed) effective distortion,
 the distortion-versus-interval curve, its derivative in the dimensionless
-variable x = 2 pi f_d tau, the bracketed optimal-interval solver, and a
-covariance-based Gaussian mutual-information oracle used to cross-check
-the bound.
+variable x = 2 pi f_d tau, and the bracketed optimal-interval solver.
 """
 
 from __future__ import annotations
@@ -31,7 +29,6 @@ __all__ = [
     "distortion_vs_interval",
     "distortion_derivative",
     "optimal_interval",
-    "gaussian_mi_oracle",
     "x_to_interval",
     "exponent_constant",
 ]
@@ -227,41 +224,3 @@ def optimal_interval(params: ChannelParams, c_fb: float) -> IntervalOptimum:
 
     return IntervalOptimum(x_opt=x_opt, t_opt_real=t_opt_real, t_opt_int=t_opt_int,
                            d_min=d_min, k=k)
-
-
-def gaussian_mi_oracle(params: ChannelParams, alpha: float, d: float) -> float:
-    """Mutual information of the explicit Gaussian test channel, in bits.
-
-    Builds the scalar jointly Gaussian model of the current estimate given
-    the previous quantized value from its independent components, applies
-    the backward test channel (quantized value = estimate minus an error
-    of variance d uncorrelated with the quantized value), and evaluates
-    I = log2( var(X) var(Y) / det Sigma ) from the 2x2 covariance.
-    Independent of the closed-form bound by construction.
-    """
-    if d <= 0:
-        raise ValueError(f"d must be > 0, got {d}")
-    if d > params.sigma_hhat2:
-        raise ValueError("d must be <= sigma_hhat2 (test channel needs Var >= 0)")
-    r = params.ratio
-    a2 = alpha * alpha
-    # independent components of the current estimate given the previous
-    # quantized value: previous quantization error, regression residual,
-    # AR innovation, current estimation error
-    component_vars = [
-        a2 * r * r * d,
-        a2 * params.psi_variance,
-        (1.0 - a2) * params.sigma_h2,
-        params.sigma_e2,
-    ]
-    v1 = math.fsum(component_vars)
-    if v1 <= d:
-        # boundary d = sigma_hhat2: quantizing to the conditional mean
-        # already meets the constraint
-        return 0.0
-    var_x = v1                       # current estimate
-    var_y = v1 - d                   # test-channel output
-    cov_xy = v1 - d                  # error uncorrelated with output
-    sigma = np.array([[var_x, cov_xy], [cov_xy, var_y]])
-    det = np.linalg.det(sigma)
-    return math.log2(var_x * var_y / det)

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 from scipy.special import j0 as scipy_j0
 
-from diffcsi.capacity import CapacityConfig, ergodic_capacity, waterfill
-from diffcsi.channel import ChannelParams, autocorrelation, regression_decompose
+from diffcsi.capacity import CapacityConfig, ergodic_capacity, waterfill_batch
+from diffcsi.channel import ChannelParams, autocorrelation
 from diffcsi.harness import ExperimentConfig, run_scenario
 from diffcsi.lloydfb import (
     bootstrap_codebook,
@@ -31,12 +31,12 @@ from diffcsi.ratedist import (
     distortion_derivative,
     distortion_vs_interval,
     exponent_constant,
-    gaussian_mi_oracle,
     mi_lower_bound,
     min_feedback_rate,
     optimal_interval,
     x_to_interval,
 )
+from oracles import gaussian_mi_oracle, regression_decompose, waterfill
 
 PARAMS = ChannelParams(n_t=2, n_r=2, sigma_h2=1.0, sigma_hhat2=1.2,
                        f_d=9.26, t_block=1e-3)
@@ -160,17 +160,19 @@ def test_06_channel_statistics():
 def test_07_waterfill():
     rng = np.random.default_rng(707)
     a2 = 0.5
-    for _ in range(10**4):
-        g = np.sort(rng.uniform(0.01, 3.0, size=2))[::-1]
-        alloc = waterfill(g, a2, 2)
-        assert abs(alloc.z2.sum() - 2.0) < 1e-12
-        for gi, z2 in zip(g, alloc.z2):
-            if z2 > 0:
-                assert gi * gi * a2 >= 1.0 / alloc.mu - 1e-12
-            else:
-                assert gi * gi * a2 <= 1.0 / alloc.mu + 1e-12
-    eq = waterfill(np.array([1.3, 1.3]), a2, 2)
-    assert np.allclose(eq.z2, [1.0, 1.0], atol=1e-12)
+    # the same 10^4 pairs, in the same order, as 10^4 draws of size 2
+    g = np.sort(rng.uniform(0.01, 3.0, size=(10**4, 2)), axis=1)[:, ::-1]
+    z2 = waterfill_batch(g, a2, 2)
+    assert np.all(np.abs(z2.sum(axis=1) - 2.0) < 1e-12)
+    # water level from an active mode of each row: z_i^2 = mu - 1/(g_i^2 A^2)
+    active = z2 > 0
+    i = np.argmax(active, axis=1)[:, None]
+    assert np.all(np.take_along_axis(active, i, axis=1))
+    gain = g * g * a2
+    mu = np.take_along_axis(z2 + 1.0 / gain, i, axis=1)
+    assert np.all(np.where(active, gain >= 1.0 / mu - 1e-12, gain <= 1.0 / mu + 1e-12))
+    eq = waterfill_batch(np.array([[1.3, 1.3]]), a2, 2)
+    assert np.allclose(eq, [[1.0, 1.0]], atol=1e-12)
 
 
 @criterion("08 residual-covariance closed form matches Monte Carlo")
@@ -255,7 +257,7 @@ def test_11_lloyd_capacity_convergence():
                                            seed=1100 + t)
         cb = bootstrap_codebook(CAP_CFG, budget,
                                 n_samples=max(20000, 100 * 2 ** r_bits),
-                                seed=1200 + r_bits, rounds=1)
+                                seed=1200 + r_bits)
         per_block = run_feedback_session(CAP_CFG, budget, cb, n_blocks=12 * t,
                                          seeds=[1300 * r_bits + s for s in range(50)])
         c_lloyd = float(np.mean([np.mean(col) for col in per_block[2 * t:].T]))

@@ -133,22 +133,6 @@ class TestScenarios:
         theory, lloyd = built["diffcsi.capacity"], built["diffcsi.lloydfb"]
         assert theory and lloyd and not theory & lloyd, sorted(theory & lloyd)
 
-    def test_fig5_lloyd_rounds_train_on_distinct_seeds(self, monkeypatch):
-        # with more rounds than the rates' seed spacing of 7, rate R's last
-        # rounds would otherwise reuse rate R + 1's first training seeds
-        seeds = []
-        train = lloydfb.train_codebook
-
-        def recording(samples, rate_bits, seed=0):
-            seeds.append(seed)
-            return train(samples, rate_bits, seed=seed)
-
-        monkeypatch.setattr(lloydfb, "train_codebook", recording)
-        run_scenario(ExperimentConfig(scenario="fig5", r_max=2, lloyd_rounds=8, trials=2,
-                                      lloyd_sessions=2, lloyd_training=100))
-        assert len(seeds) == 16
-        assert len(set(seeds)) == len(seeds), sorted(seeds)
-
     def test_rerun_byte_identical(self):
         cfg = dict(scenario="fig4", t_min=3, t_max=3, c_fb=[1.0], trials=500, seed=5)
         assert run_scenario(ExperimentConfig(**cfg)) == run_scenario(ExperimentConfig(**cfg))
@@ -260,6 +244,15 @@ class TestCli:
         assert rc == EXIT_NUMERICAL
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_numerical_failure_leaves_out_untouched(self, tmp_path):
+        old, new = tmp_path / "old.csv", tmp_path / "new.csv"
+        old.write_bytes(b"old\n")
+        for out in (old, new):
+            rc = main(["optimal-interval", "--set", "sigma_hhat2=1.0", "--out", str(out)])
+            assert rc == EXIT_NUMERICAL
+        assert old.read_bytes() == b"old\n"
+        assert not new.exists()
+
     @pytest.mark.parametrize("argv", [
         ["fig4", "--trials", "0"],
         ["fig4", "--set", "t_min=0"],
@@ -276,7 +269,8 @@ class TestCli:
         ["fig5", "--set", "lloyd_sessions=0"],
         ["fig5", "--set", "lloyd_sessions=1"],
         ["fig5", "--set", "r_max=0"],
-        ["fig5", "--set", "lloyd_rounds=0"],
+        ["fig5", "--set", "lloyd_rounds=1"],
+        ["fig5", "--set", "lloyd_training=0"],
         ["fig3", "--set", "d_list="],
         ["fig3", "--set", "sigma_e2_list="],
         ["fig4", "--seed", "-5"],

@@ -251,35 +251,9 @@ class TestFeedbackSession:
 
 class TestBootstrap:
     def test_bootstrap_produces_valid_codebook(self, cap_cfg, budget):
-        cb = bootstrap_codebook(cap_cfg, budget, n_samples=2000, seed=3, rounds=2)
+        cb = bootstrap_codebook(cap_cfg, budget, n_samples=2000, seed=3)
         assert len(cb.entries) == 2 ** budget.r_bits
         assert cb.training_meta["interval"] == budget.t_blocks
-
-    def test_closed_loop_round_shape_and_determinism(self, cap_cfg, budget, monkeypatch):
-        train = lloydfb.train_codebook
-        rounds = []
-
-        def capturing(samples, *args, **kwargs):
-            cb = train(samples, *args, **kwargs)
-            rounds.append((samples, cb))
-            return cb
-
-        monkeypatch.setattr(lloydfb, "train_codebook", capturing)
-        a = bootstrap_codebook(cap_cfg, budget, n_samples=1000, seed=4, rounds=2)
-        b = bootstrap_codebook(cap_cfg, budget, n_samples=1000, seed=4, rounds=2)
-        assert a.entries.shape == (16, 2, 2)
-        assert np.array_equal(a.entries, b.entries)
-        # round 1 trains on ceil(1000 / 64) sessions of 64 post-cold-start
-        # epochs, session-major, each as a single session would record it
-        t = budget.t_blocks
-        assert a.training_meta["training_size"] == 16 * 64
-        expected = []
-        for s in range(16):
-            diffs = []
-            lloydfb._sessions(cap_cfg, t, lloydfb._codebook_quantizer(rounds[0][1], diffs),
-                              65 * t, [(4 * 1000 + 1) * 131 + s])
-            expected += diffs[1:]
-        assert np.array_equal(rounds[1][0], np.concatenate(expected))
 
 
 class TestSerialization:

@@ -18,12 +18,12 @@ from diffcsi.ratedist import (
     distortion_from_rate,
     distortion_vs_interval,
     exponent_constant,
-    gaussian_mi_oracle,
     mi_lower_bound,
     min_feedback_rate,
     optimal_interval,
     x_to_interval,
 )
+from oracles import gaussian_mi_oracle
 
 # grid-oracle output for the reference configuration (C_fb = 2); frozen
 # from a 10^6-point scan of d(x) on (0, 1.5]
