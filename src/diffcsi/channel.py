@@ -94,7 +94,9 @@ def advance(
         raise ValueError(f"|alpha| must be <= 1, got {alpha}")
     h_prev = np.asarray(h_prev)
     w = sample_cn(h_prev.shape, params.sigma_h2, rng)
-    return alpha * h_prev + math.sqrt(1.0 - alpha * alpha) * w
+    w *= math.sqrt(1.0 - alpha * alpha)  # in place on the fresh draw: the same bits
+    w += alpha * h_prev
+    return w
 
 
 def estimate(h: np.ndarray, params: ChannelParams, rng: np.random.Generator) -> np.ndarray:
@@ -103,4 +105,6 @@ def estimate(h: np.ndarray, params: ChannelParams, rng: np.random.Generator) -> 
     A perfect estimator (sigma_e2 = 0) draws nothing and returns H.
     """
     h = np.asarray(h)
-    return h + sample_cn(h.shape, params.sigma_e2, rng)
+    e = sample_cn(h.shape, params.sigma_e2, rng)
+    e += h  # in place on the fresh draw: the same sum
+    return e

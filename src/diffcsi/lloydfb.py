@@ -33,8 +33,9 @@ __all__ = [
 ]
 
 MAX_RATE_BITS = 16  # exhaustive codeword search is 2^R per sample
-NEAREST_BLOCK = 1024  # samples per GEMM block of the codeword search
-_REFILL = 4096  # normals drawn per generator refill of a batched session
+NEAREST_GEMM = 1 << 18  # rows x codewords x real dim of one codeword-search GEMM
+_ERROR_ROWS = 4096  # rows per block of a Lloyd iteration's error pass
+_REFILL = 1024  # normals drawn per generator refill of a batched session
 LLOYD_ITERATIONS = 200  # at most this many Lloyd iterations per training
 LLOYD_MIN_GAIN = 1e-4  # stop once an iteration gains less than this share
 
@@ -61,28 +62,33 @@ def _flatten(mats: np.ndarray) -> np.ndarray:
 
 
 def _abs2(z: np.ndarray) -> np.ndarray:
-    """|z|^2 entrywise, without the hypot that np.abs(z) ** 2 computes first.
-
-    Passed in as a temporary, z is freed on return instead of staying alive
-    through the caller's next nearest-codeword search (peak memory).
-    """
+    """|z|^2 entrywise, without the hypot that np.abs(z) ** 2 computes first."""
     return z.real ** 2 + z.imag ** 2
+
+
+def _block_rows(n_codewords: int, real_dim: int) -> int:
+    """Rows per block of the codeword search: each block's GEMM stays within
+    NEAREST_GEMM multiply-adds.  OpenBLAS ran GEMMs of that size on the
+    calling thread; larger ones woke a second thread that mostly spun, the
+    inner dimension being only 2 N_r N_t."""
+    return max(1, NEAREST_GEMM // (n_codewords * real_dim))
 
 
 def _nearest(flat_samples: np.ndarray, flat_entries: np.ndarray) -> np.ndarray:
     """Index of the nearest codeword (squared Frobenius, lowest index wins).
 
     Each codeword scores |c|^2 - 2 Re<s, c>, as |s|^2 is constant per sample;
-    Re<s, c> is one real GEMM of [re, im] stacked rows per NEAREST_BLOCK samples.
+    Re<s, c> is one real GEMM per block of [re, im] stacked rows.
     """
-    s = np.concatenate([flat_samples.real, flat_samples.imag], axis=1)
     neg2c = -2.0 * np.concatenate([flat_entries.real, flat_entries.imag], axis=1).T
     c2 = np.sum(np.abs(flat_entries) ** 2, axis=1)
-    labels = np.empty(len(s), dtype=np.intp)
-    for i in range(0, len(s), NEAREST_BLOCK):
-        score = s[i:i + NEAREST_BLOCK] @ neg2c
+    rows = _block_rows(len(flat_entries), neg2c.shape[0])
+    labels = np.empty(len(flat_samples), dtype=np.intp)
+    for i in range(0, len(flat_samples), rows):
+        block = flat_samples[i:i + rows]
+        score = np.concatenate([block.real, block.imag], axis=1) @ neg2c
         score += c2
-        labels[i:i + NEAREST_BLOCK] = score.argmin(axis=1)
+        labels[i:i + rows] = score.argmin(axis=1)
     return labels
 
 
@@ -102,7 +108,8 @@ def train_codebook(samples: np.ndarray, rate_bits: int, seed: int = 0) -> Codebo
 
     Alternates nearest-neighbor partition and centroid update (stopping rule:
     LLOYD_ITERATIONS, LLOYD_MIN_GAIN).  Empty cells are repaired by splitting
-    the centroid of the highest-distortion cell.
+    the centroid of the highest-distortion cell.  A rise in distortion from
+    one iteration to the next raises ArithmeticError.
     """
     if rate_bits < 1:
         raise ValueError("rate_bits must be >= 1")
@@ -122,15 +129,18 @@ def train_codebook(samples: np.ndarray, rate_bits: int, seed: int = 0) -> Codebo
     init_idx = rng.choice(len(samples), size=n_entries, replace=False)
     centers = flat[init_idx].copy()
 
+    err2 = np.empty((len(flat), dim))
     history = []
     prev = math.inf
     for it in range(LLOYD_ITERATIONS):
         labels = _nearest(flat, centers)
-        err2 = _abs2(flat - centers[labels])
+        for i in range(0, len(flat), _ERROR_ROWS):  # no (N, dim) gather or difference
+            j = i + _ERROR_ROWS
+            err2[i:j] = _abs2(flat[i:j] - centers[labels[i:j]])
         dist = float(np.mean(err2) * dim)  # per-sample squared error
         history.append(dist)
         if dist > prev * (1.0 + 1e-12):
-            raise RuntimeError(
+            raise ArithmeticError(
                 f"Lloyd distortion increased at iteration {it}: {prev} -> {dist}")
         improved = prev - dist
         counts = np.bincount(labels, minlength=n_entries)

@@ -191,5 +191,6 @@ def sample_cn(shape: tuple, variance: float, rng: np.random.Generator) -> np.nda
         raise ValueError(f"variance must be >= 0, got {variance}")
     if variance == 0.0:
         return np.zeros(shape, dtype=complex)
-    pairs = math.sqrt(variance / 2.0) * rng.standard_normal((*shape, 2))
+    pairs = rng.standard_normal((*shape, 2))
+    pairs *= math.sqrt(variance / 2.0)  # in place: the same product, no second array
     return pairs.view(complex)[..., 0]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from diffcsi import lloydfb
 from diffcsi.capacity import CapacityConfig
 from diffcsi.channel import ChannelParams
 
@@ -27,3 +28,19 @@ def cap_cfg(params):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def diverging_lloyd(monkeypatch):
+    """Patch the codeword search to mislabel every sample after its first
+    pass: the partition is then not nearest-codeword, so a Lloyd training's
+    distortion rises."""
+    nearest = lloydfb._nearest
+    calls = []
+
+    def bad_nearest(flat, centers):
+        labels = nearest(flat, centers)
+        calls.append(1)
+        return labels if len(calls) == 1 else (labels + 1) % len(centers)
+
+    monkeypatch.setattr(lloydfb, "_nearest", bad_nearest)

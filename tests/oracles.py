@@ -11,7 +11,8 @@ import numpy as np
 
 from diffcsi.capacity import CapacityConfig, _capacity_batch, _held_precoder
 from diffcsi.channel import ChannelParams
-from diffcsi.mathcore import check_finite
+from diffcsi.lloydfb import LLOYD_ITERATIONS, LLOYD_MIN_GAIN
+from diffcsi.mathcore import RngStream, check_finite
 
 
 @dataclass(frozen=True)
@@ -112,3 +113,56 @@ def gaussian_mi_oracle(params: ChannelParams, alpha: float, d: float) -> float:
     sigma = np.array([[var_x, cov_xy], [cov_xy, var_y]])
     det = np.linalg.det(sigma)
     return math.log2(var_x * var_y / det)
+
+
+def lloyd_unblocked(samples: np.ndarray, rate_bits: int, seed: int = 0):
+    """Lloyd training with every pass over the whole training set at once.
+
+    The loop lloydfb.train_codebook runs, from the same RngStream(seed, 0):
+    one GEMM scores all N samples against all codewords, and each
+    iteration's error is one (N, dim) gather and difference.  Returns the
+    (2^R, n_r, n_t) entries and the training_meta dict.
+    """
+    samples = np.asarray(samples, dtype=complex)
+    n_entries, (n, n_r, n_t) = 2 ** rate_bits, samples.shape
+    flat = samples.reshape(n, -1)
+    dim = flat.shape[1]
+    rng = RngStream(seed, 0).generator()
+    centers = flat[rng.choice(n, size=n_entries, replace=False)].copy()
+    s = np.concatenate([flat.real, flat.imag], axis=1)
+    history = []
+    prev = math.inf
+    for _ in range(LLOYD_ITERATIONS):
+        score = s @ (-2.0 * np.concatenate([centers.real, centers.imag], axis=1).T)
+        score += np.sum(np.abs(centers) ** 2, axis=1)
+        labels = score.argmin(axis=1)
+        diff = flat - centers[labels]
+        err2 = diff.real ** 2 + diff.imag ** 2
+        dist = float(np.mean(err2) * dim)
+        history.append(dist)
+        if dist > prev * (1.0 + 1e-12):
+            raise ArithmeticError("Lloyd distortion increased")
+        improved = prev - dist
+        counts = np.bincount(labels, minlength=n_entries)
+        cell_dist = np.bincount(labels, np.sum(err2, axis=1), n_entries)
+        sums = np.stack([np.bincount(labels, col, n_entries) for col in flat.view(float).T],
+                        axis=1).view(complex)
+        nonempty = counts > 0
+        centers[nonempty] = sums[nonempty] / counts[nonempty, None]
+        for i in np.flatnonzero(~nonempty):
+            worst = int(np.argmax(cell_dist))
+            jitter = 1e-3 * math.sqrt(max(cell_dist[worst], 1e-30) / max(counts[worst], 1))
+            centers[i] = centers[worst] + jitter * (
+                rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+            cell_dist[worst] /= 2.0
+        if math.isfinite(prev) and improved < LLOYD_MIN_GAIN * max(dist, 1e-300):
+            break
+        prev = dist
+    meta = {
+        "training_size": n,
+        "final_distortion": history[-1] / (n_r * n_t),
+        "iterations": len(history),
+        "distortion_history": [h / (n_r * n_t) for h in history],
+        "seed": seed,
+    }
+    return centers.reshape(n_entries, n_r, n_t), meta

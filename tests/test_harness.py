@@ -244,6 +244,14 @@ class TestCli:
         assert rc == EXIT_NUMERICAL
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_lloyd_divergence_exits_3(self, diverging_lloyd, capsys):
+        rc = main(["fig5", "--set", "r_max=2", "--set", "trials=4", "--set", "lloyd_sessions=2",
+                   "--set", "lloyd_training=400"])
+        assert rc == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: Lloyd distortion increased at iteration ")
+        assert "Traceback" not in err
+
     def test_numerical_failure_leaves_out_untouched(self, tmp_path):
         old, new = tmp_path / "old.csv", tmp_path / "new.csv"
         old.write_bytes(b"old\n")

@@ -22,6 +22,7 @@ from diffcsi.lloydfb import (
 )
 from diffcsi.mathcore import RngStream, sample_cn
 from diffcsi.ratedist import FeedbackBudget, distortion_from_rate
+from oracles import lloyd_unblocked
 
 
 @pytest.fixture
@@ -54,20 +55,22 @@ class TestTrainCodebook:
         hist = codebook.training_meta["distortion_history"]
         assert all(b <= a * (1 + 1e-12) for a, b in zip(hist, hist[1:]))
 
-    def test_distortion_increase_raises(self, training_samples, monkeypatch):
-        # a partition that is not nearest-codeword after the first pass makes
-        # the distortion rise; the check must stop training explicitly
-        nearest = lloydfb._nearest
-        calls = []
-
-        def bad_nearest(flat, centers):
-            labels = nearest(flat, centers)
-            calls.append(1)
-            return labels if len(calls) == 1 else (labels + 1) % len(centers)
-
-        monkeypatch.setattr(lloydfb, "_nearest", bad_nearest)
-        with pytest.raises(RuntimeError, match="Lloyd distortion increased"):
+    def test_distortion_increase_raises(self, training_samples, diverging_lloyd):
+        # the check must stop training explicitly
+        with pytest.raises(ArithmeticError, match="Lloyd distortion increased"):
             train_codebook(training_samples, rate_bits=3, seed=1)
+
+    @pytest.mark.parametrize("rate_bits", range(1, 9))
+    def test_equals_unblocked_loop(self, rate_bits):
+        # N one below and one above a boundary of both the search blocks and
+        # the error-pass blocks; at R = 8 the small set also repairs empty cells
+        edge = max(lloydfb._block_rows(2 ** rate_bits, 8), lloydfb._ERROR_ROWS)
+        draw = sample_cn((edge + 1, 2, 2), 1.0, RngStream(66, rate_bits).generator())
+        for n in (edge - 1, edge + 1):
+            cb = train_codebook(draw[:n], rate_bits, seed=rate_bits)
+            entries, meta = lloyd_unblocked(draw[:n], rate_bits, seed=rate_bits)
+            assert np.array_equal(cb.entries, entries)
+            assert cb.training_meta == meta
 
     def test_converse_bound_on_held_out(self, params, budget, codebook):
         held_out = open_loop_training_samples(params, budget, 20000, RngStream(62, 0))
@@ -145,12 +148,14 @@ class TestNearest:
     @given(n_r=st.integers(min_value=1, max_value=3),
            n_t=st.integers(min_value=1, max_value=3),
            rate_bits=st.integers(min_value=1, max_value=8),
-           n=st.sampled_from([1, 300, lloydfb.NEAREST_BLOCK - 1, lloydfb.NEAREST_BLOCK,
-                              lloydfb.NEAREST_BLOCK + 1, 2 * lloydfb.NEAREST_BLOCK + 37]),
+           n_case=st.integers(min_value=0, max_value=5),
            n_dup=st.integers(min_value=0, max_value=4),
            seed=st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=40, deadline=None)
-    def test_matches_bruteforce_oracle(self, n_r, n_t, rate_bits, n, n_dup, seed):
+    def test_matches_bruteforce_oracle(self, n_r, n_t, rate_bits, n_case, n_dup, seed):
+        # sizes around the rows per GEMM block of this rate and shape
+        rows = lloydfb._block_rows(2 ** rate_bits, 2 * n_r * n_t)
+        n = [1, 300, rows - 1, rows, rows + 1, 2 * rows + 37][n_case]
         rng = np.random.default_rng(seed)
         n_entries, dim = 2 ** rate_bits, n_r * n_t
         entries = rng.standard_normal((n_entries, dim)) + 1j * rng.standard_normal((n_entries, dim))
@@ -240,7 +245,7 @@ class TestFeedbackSession:
         budget = FeedbackBudget(c_fb=1.0, r_bits=rate_bits, t_blocks=4)
         samples = open_loop_training_samples(params, budget, 1000, RngStream(65, 0))
         cb = train_codebook(samples, rate_bits=rate_bits, seed=8)
-        # 300 blocks of 16 normals each cross a generator refill
+        # 300 blocks of 16 normals each cross four refills of lloydfb._REFILL = 1024
         seeds = [3, 17, 17, 40, 41]
         batch = run_feedback_session(cap_cfg, budget, cb, n_blocks=300, seeds=seeds)
         assert batch.shape == (300, len(seeds))
