@@ -149,8 +149,12 @@ def _closed_precoder_2x2(h_bar: np.ndarray, cfg: CapacityConfig) -> np.ndarray:
     lam2 = det2 / np.where(lam1 > 0, lam1, 1.0)             # no cancellation
     z2 = waterfill_batch(np.sqrt(np.stack([lam1, lam2], axis=1)),
                          cfg.amplitude2, cfg.params.n_t)
-    # equal eigenvalues (disc = 0) get equal powers, so the projector drops out
-    w = (z2[:, 0] - z2[:, 1]) / np.where(disc > 0, 2.0 * disc, 1.0)
+    # w = (z1^2 - z2^2) / (lam1 - lam2).  With both modes on, z_i^2 = mu -
+    # 1/(A^2 lam_i), so w = 1/(A^2 lam1 lam2) = 1/(A^2 det G) and no gap is
+    # divided by; with one mode on, equal eigenvalues (disc = 0) cannot occur
+    both = z2[:, 1] > 0
+    w = np.where(both, 1.0 / (cfg.amplitude2 * np.where(both, det2, 1.0)),
+                 z2[:, 0] / np.where(disc > 0, 2.0 * disc, 1.0))
     p = np.empty((len(h_bar), 4), dtype=complex)            # row-major 2x2
     p[:, 0::3] = z2[:, 1:] + w[:, None] * (diag - lam2[:, None])
     p[:, 1] = w * g12

@@ -70,25 +70,47 @@ def _block_rows(n_codewords: int, real_dim: int) -> int:
     """Rows per block of the codeword search: each block's GEMM stays within
     NEAREST_GEMM multiply-adds.  OpenBLAS ran GEMMs of that size on the
     calling thread; larger ones woke a second thread that mostly spun, the
-    inner dimension being only 2 N_r N_t."""
+    inner dimension being only 2 N_r N_t + 1."""
     return max(1, NEAREST_GEMM // (n_codewords * real_dim))
 
 
-def _nearest(flat_samples: np.ndarray, flat_entries: np.ndarray) -> np.ndarray:
-    """Index of the nearest codeword (squared Frobenius, lowest index wins).
+def _search_rows(flat: np.ndarray) -> np.ndarray:
+    """Real search rows [re | im | 1] (N, 2 dim + 1) of flattened samples,
+    stored column-major (see _nearest)."""
+    dim = flat.shape[1]
+    rows = np.empty((len(flat), 2 * dim + 1), order="F")
+    rows[:, :dim] = flat.real
+    rows[:, dim:-1] = flat.imag
+    rows[:, -1] = 1.0
+    return rows
 
-    Each codeword scores |c|^2 - 2 Re<s, c>, as |s|^2 is constant per sample;
-    Re<s, c> is one real GEMM per block of [re, im] stacked rows.
+
+def _nearest(rows: np.ndarray, flat_entries: np.ndarray) -> np.ndarray:
+    """Index of the nearest codeword (squared Frobenius, lowest index wins)
+    for each _search_rows row.
+
+    Each codeword scores |c|^2 - 2 Re<s, c>, as |s|^2 is constant per sample:
+    one real GEMM per block against the columns [-2 re; -2 im; |c|^2].  With
+    column-major rows and a row-major column matrix, OpenBLAS sums each score
+    over the inner index in order with FMA, so the trailing 1 * |c|^2 rounds
+    as a separate `+= |c|^2` would, in a block of any size.  numpy would run
+    a lone row as gemv, which sums in another order, so it goes in twice.
     """
-    neg2c = -2.0 * np.concatenate([flat_entries.real, flat_entries.imag], axis=1).T
-    c2 = np.sum(np.abs(flat_entries) ** 2, axis=1)
-    rows = _block_rows(len(flat_entries), neg2c.shape[0])
-    labels = np.empty(len(flat_samples), dtype=np.intp)
-    for i in range(0, len(flat_samples), rows):
-        block = flat_samples[i:i + rows]
-        score = np.concatenate([block.real, block.imag], axis=1) @ neg2c
-        score += c2
-        labels[i:i + rows] = score.argmin(axis=1)
+    dim = flat_entries.shape[1]
+    w = np.empty((2 * dim + 1, len(flat_entries)))
+    w[:dim] = -2.0 * flat_entries.real.T
+    w[dim:-1] = -2.0 * flat_entries.imag.T
+    w[-1] = np.sum(np.abs(flat_entries) ** 2, axis=1)
+    step = _block_rows(len(flat_entries), len(w))
+    score = np.empty((max(2, min(step, len(rows))), len(flat_entries)))
+    labels = np.empty(len(rows), dtype=np.intp)
+    for i in range(0, len(rows), step):
+        block = rows[i:i + step]
+        m = len(block)
+        if m == 1:
+            block = np.asfortranarray(rows[[i, i]])
+        s = np.matmul(block, w, out=score[:len(block)])
+        s[:m].argmin(axis=1, out=labels[i:i + m])
     return labels
 
 
@@ -99,7 +121,8 @@ def quantize(h_d: np.ndarray, cb: Codebook):
     if h_d.shape[-2:] != cb.entries.shape[1:]:
         raise ValueError(f"shape mismatch: {h_d.shape} vs {cb.entries.shape[1:]}")
     flat_entries = _flatten(cb.entries)
-    idx = _nearest(h_d.reshape(-1, flat_entries.shape[1]), flat_entries).reshape(h_d.shape[:-2])
+    rows = _search_rows(h_d.reshape(-1, flat_entries.shape[1]))
+    idx = _nearest(rows, flat_entries).reshape(h_d.shape[:-2])
     return (int(idx) if idx.ndim == 0 else idx), cb.entries[idx]
 
 
@@ -115,13 +138,14 @@ def train_codebook(samples: np.ndarray, rate_bits: int, seed: int = 0) -> Codebo
         raise ValueError("rate_bits must be >= 1")
     if rate_bits > MAX_RATE_BITS:
         raise ValueError(f"rate_bits > {MAX_RATE_BITS} refused (search cost 2^R)")
-    samples = np.asarray(samples, dtype=complex)
+    samples = check_finite(np.asarray(samples, dtype=complex), "training samples")
     n_entries = 2 ** rate_bits
     if len(samples) < n_entries:
         raise ValueError(f"training set ({len(samples)}) smaller than codebook ({n_entries})")
 
     n_r, n_t = samples.shape[1], samples.shape[2]
     flat = _flatten(samples)
+    rows = _search_rows(flat)
     dim = flat.shape[1]
     rng = RngStream(seed, 0).generator()
 
@@ -133,7 +157,7 @@ def train_codebook(samples: np.ndarray, rate_bits: int, seed: int = 0) -> Codebo
     history = []
     prev = math.inf
     for it in range(LLOYD_ITERATIONS):
-        labels = _nearest(flat, centers)
+        labels = _nearest(rows, centers)
         for i in range(0, len(flat), _ERROR_ROWS):  # no (N, dim) gather or difference
             j = i + _ERROR_ROWS
             err2[i:j] = _abs2(flat[i:j] - centers[labels[i:j]])

@@ -38,8 +38,8 @@ def diverging_lloyd(monkeypatch):
     nearest = lloydfb._nearest
     calls = []
 
-    def bad_nearest(flat, centers):
-        labels = nearest(flat, centers)
+    def bad_nearest(rows, centers):
+        labels = nearest(rows, centers)
         calls.append(1)
         return labels if len(calls) == 1 else (labels + 1) % len(centers)
 

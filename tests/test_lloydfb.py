@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diffcsi import lloydfb
@@ -64,7 +64,7 @@ class TestTrainCodebook:
     def test_equals_unblocked_loop(self, rate_bits):
         # N one below and one above a boundary of both the search blocks and
         # the error-pass blocks; at R = 8 the small set also repairs empty cells
-        edge = max(lloydfb._block_rows(2 ** rate_bits, 8), lloydfb._ERROR_ROWS)
+        edge = max(lloydfb._block_rows(2 ** rate_bits, 9), lloydfb._ERROR_ROWS)
         draw = sample_cn((edge + 1, 2, 2), 1.0, RngStream(66, rate_bits).generator())
         for n in (edge - 1, edge + 1):
             cb = train_codebook(draw[:n], rate_bits, seed=rate_bits)
@@ -99,6 +99,13 @@ class TestTrainCodebook:
             cell = flat[labels == i]
             assert len(cell)
             assert np.linalg.norm(entries[i] - cell.mean(axis=0)) < 1e-10
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_samples_rejected(self, training_samples, bad):
+        samples = training_samples.copy()
+        samples[123, 1, 0] = bad
+        with pytest.raises(ValueError, match="training samples contains non-finite"):
+            train_codebook(samples, rate_bits=3, seed=1)
 
     def test_too_small_training_set_rejected(self, training_samples):
         with pytest.raises(ValueError):
@@ -154,7 +161,7 @@ class TestNearest:
     @settings(max_examples=40, deadline=None)
     def test_matches_bruteforce_oracle(self, n_r, n_t, rate_bits, n_case, n_dup, seed):
         # sizes around the rows per GEMM block of this rate and shape
-        rows = lloydfb._block_rows(2 ** rate_bits, 2 * n_r * n_t)
+        rows = lloydfb._block_rows(2 ** rate_bits, 2 * n_r * n_t + 1)
         n = [1, 300, rows - 1, rows, rows + 1, 2 * rows + 37][n_case]
         rng = np.random.default_rng(seed)
         n_entries, dim = 2 ** rate_bits, n_r * n_t
@@ -165,7 +172,43 @@ class TestNearest:
         samples = rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))
         samples[::7] = entries[rng.integers(0, n_entries, len(samples[::7]))]
         d2 = np.stack([np.sum(np.abs(samples - c) ** 2, axis=1) for c in entries], axis=1)
-        assert np.array_equal(lloydfb._nearest(samples, entries), np.argmin(d2, axis=1))
+        labels = lloydfb._nearest(lloydfb._search_rows(samples), entries)
+        assert np.array_equal(labels, np.argmin(d2, axis=1))
+
+    @given(n_r=st.integers(min_value=1, max_value=3),
+           n_t=st.integers(min_value=1, max_value=3),
+           rate_bits=st.integers(min_value=1, max_value=12),
+           n_case=st.integers(min_value=0, max_value=3),
+           log_scale=st.integers(min_value=-3, max_value=3),
+           seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    # row-major rows would take OpenBLAS's small NN kernel, out of order here
+    @example(n_r=3, n_t=3, rate_bits=2, n_case=1, log_scale=0, seed=0)
+    def test_equals_two_pass_argmin(self, n_r, n_t, rate_bits, n_case, log_scale, seed):
+        # The |c|^2 column folded into the GEMM must round as a separate
+        # `score += |c|^2` after it, which holds while the BLAS sums the inner
+        # index in order, in blocks of any size.  Midpoints of codeword pairs
+        # make near-ties, so a differently rounded score moves labels.
+        n_entries, dim = 2 ** rate_bits, n_r * n_t
+        rows = lloydfb._block_rows(n_entries, 2 * dim + 1)
+        n = [1, rows + 1, 2 * rows + 37, 3 * rows][n_case]   # lone and remainder rows
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** log_scale
+        entries = scale * (rng.standard_normal((n_entries, dim))
+                           + 1j * rng.standard_normal((n_entries, dim)))
+        pairs = rng.integers(0, n_entries, (n, 2))
+        samples = 0.5 * (entries[pairs[:, 0]] + entries[pairs[:, 1]])
+        samples[1::2] = scale * (rng.standard_normal((n // 2, dim))
+                                 + 1j * rng.standard_normal((n // 2, dim)))
+        # one spare row keeps the reference a GEMM (numpy runs one row as gemv)
+        ref = np.concatenate([samples, samples[:1]])
+        score = np.concatenate([ref.real, ref.imag], axis=1) @ (
+            -2.0 * np.concatenate([entries.real, entries.imag], axis=1).T)
+        score += np.sum(np.abs(entries) ** 2, axis=1)
+        labels = lloydfb._nearest(lloydfb._search_rows(samples), entries)
+        assert np.array_equal(labels, score[:n].argmin(axis=1)), (
+            "folded |c|^2 column rounds unlike a separate += |c|^2: "
+            "the BLAS does not sum the GEMM's inner index in order")
 
 
 def recorded_session(cfg, budget, cb, n_blocks, seed):
