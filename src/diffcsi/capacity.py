@@ -51,6 +51,12 @@ class CapacityConfig:
     def __post_init__(self):
         if self.l_block <= self.params.n_t:
             raise ValueError("l_block must exceed n_t (pilot overhead)")
+        try:  # 10^(snr_db / 10) can overflow, or underflow to an A^2 of 0
+            in_range = 1.0 / self.amplitude2 < math.inf
+        except (OverflowError, ZeroDivisionError):
+            in_range = False
+        if not in_range:
+            raise ValueError(f"snr_db={self.snr_db} puts A^2 or 1/A^2 out of float range")
 
     @property
     def amplitude2(self) -> float:
@@ -74,7 +80,7 @@ def waterfill_batch(gammas: np.ndarray, amplitude2: float, n_t: int) -> np.ndarr
     valid = finite & (mu_k > inv)       # weakest active mode stays positive
     k_best = np.where(valid, ks, 0).max(axis=1)
     if np.any(k_best == 0):
-        raise ValueError("water-filling batch hit an all-zero channel")
+        raise ArithmeticError("water-filling batch hit an all-zero channel")
     mu = np.take_along_axis(mu_k, (k_best - 1)[:, None], axis=1)
     z2 = np.where(ks[None, :] <= k_best[:, None], mu - inv, 0.0)
     return np.maximum(z2, 0.0)
@@ -315,14 +321,8 @@ def ergodic_capacity(
         raise ValueError(f"periods must be >= 1, got {periods}")
     if mode not in ("simulate", "analytic"):
         raise ValueError(f"unknown mode {mode!r}")
-    chunks = []
-    start = 0
-    cid = 0
-    while start < trials:
-        n = min(CHUNK_TRIALS, trials - start)
-        chunks.append((cfg, budget, ds, n, seed, cid, periods, mode))
-        start += n
-        cid += 1
+    chunks = [(cfg, budget, ds, min(CHUNK_TRIALS, trials - start), seed, cid, periods, mode)
+              for cid, start in enumerate(range(0, trials, CHUNK_TRIALS))]
 
     if workers > 1 and len(chunks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -333,9 +333,6 @@ def ergodic_capacity(
     out = []
     for per_trial in np.concatenate(results, axis=1):
         mean = float(math.fsum(per_trial) / trials)
-        if trials == 1:
-            out.append((mean, float("nan")))
-            continue
-        var = math.fsum((per_trial - mean) ** 2) / (trials - 1)
+        var = math.fsum((per_trial - mean) ** 2) / (trials - 1) if trials > 1 else math.nan
         out.append((mean, math.sqrt(var / trials)))
     return out

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mathcore import bessel_j0, sample_cn
+from .mathcore import _float_or_array, bessel_j0, sample_cn
 
 __all__ = [
     "ChannelParams",
@@ -69,13 +69,14 @@ class ChannelParams:
         return self.sigma_h2 * self.sigma_e2 / self.sigma_hhat2
 
 
-def autocorrelation(params: ChannelParams, lag_blocks: float) -> float:
-    """Block-lag correlation alpha = J0(2 pi f_d * lag * t_block).
+@_float_or_array
+def autocorrelation(params: ChannelParams, lag_blocks):
+    """Block-lag correlation alpha = J0(2 pi f_d * lag * t_block) of each lag.
 
     May be negative for large lags; downstream formulas consume alpha^2.
     """
-    if lag_blocks < 0:
-        raise ValueError(f"lag must be >= 0, got {lag_blocks}")
+    if (bad := lag_blocks < 0).any():
+        raise ValueError(f"lag must be >= 0, got {lag_blocks[bad][0]}")
     return bessel_j0(2.0 * math.pi * params.f_d * lag_blocks * params.t_block)
 
 

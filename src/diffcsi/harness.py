@@ -88,6 +88,11 @@ class ExperimentConfig:
             raise ValueError(f"t_min and t_step must be >= 1, got {self.t_min}, {self.t_step}")
         if self.t_min > self.t_max:
             raise ValueError(f"t_min ({self.t_min}) exceeds t_max ({self.t_max})")
+        if self.scenario == "fig5" and not (self.r_max / self.c_fb[0] <= _SESSION_SEEDS - 1
+                                            and self.lloyd_sessions <= _SESSION_SEEDS):
+            raise ValueError(f"fig5's seeds need ceil(r_max / c_fb[0]) < {_SESSION_SEEDS} and "
+                             f"lloyd_sessions <= {_SESSION_SEEDS}, got {self.r_max}, "
+                             f"{self.c_fb[0]}, {self.lloyd_sessions}")
         # the channel and link configs run their own range checks
         self.capacity_config
 
@@ -138,11 +143,9 @@ def _t_sweep(cfg: ExperimentConfig) -> list[int]:
 
 
 def _scenario_fig2(cfg: ExperimentConfig):
-    params = cfg.params
-    c_fb = cfg.c_fb[0]
-    header = ["T", "d_theory"]
-    rows = [[t, distortion_vs_interval(params, c_fb, t)] for t in _t_sweep(cfg)]
-    return header, rows
+    ts = _t_sweep(cfg)
+    d = distortion_vs_interval(cfg.params, cfg.c_fb[0], ts)
+    return ["T", "d_theory"], list(zip(ts, d.tolist()))
 
 
 def _combo_tag(sigma_e2: float, d: float) -> str:
@@ -152,27 +155,25 @@ def _combo_tag(sigma_e2: float, d: float) -> str:
 def _scenario_fig3(cfg: ExperimentConfig):
     alphas = [round(0.01 * i, 2) for i in range(100)]  # 0.00 .. 0.99
     combos = [(se, d) for se in cfg.sigma_e2_list for d in cfg.d_list]
-    header = ["alpha"]
-    header += [f"R_min_{_combo_tag(se, d)}" for se, d in combos]
-    header += [f"R_nondiff_{_combo_tag(se, d)}" for se, d in combos]
+    header = ["alpha"] + [f"R_{kind}_{_combo_tag(se, d)}"
+                          for kind in ("min", "nondiff") for se, d in combos]
     links = [(cfg.params_with_sigma_e2(se), d) for se, d in combos]
+    r_min = np.transpose([min_feedback_rate(p, alphas, d) for p, d in links]).tolist()
     # memoryless baseline: same bound with the correlation ignored
     nondiff = [min_feedback_rate(p, 0.0, d) for p, d in links]
-    rows = [[alpha] + [min_feedback_rate(p, alpha, d) for p, d in links] + nondiff
-            for alpha in alphas]
-    return header, rows
+    return header, [[alpha, *row, *nondiff] for alpha, row in zip(alphas, r_min)]
 
 
 def _scenario_fig4(cfg: ExperimentConfig):
     params = cfg.params
     ccfg = cfg.capacity_config
-    header = ["T"]
-    for c_fb in cfg.c_fb:
-        header += [f"C_erg_cfb{_fmt(c_fb)}", f"stderr_cfb{_fmt(c_fb)}"]
+    header = ["T"] + [f"{col}_cfb{_fmt(c_fb)}"
+                      for c_fb in cfg.c_fb for col in ("C_erg", "stderr")]
+    ts = _t_sweep(cfg)
+    ds_by_t = distortion_from_rate(params, autocorrelation(params, ts)[:, None],
+                                   np.outer(ts, cfg.c_fb))
     rows = []
-    for t in _t_sweep(cfg):
-        alpha = autocorrelation(params, t)
-        ds = [distortion_from_rate(params, alpha, c_fb * t) for c_fb in cfg.c_fb]
+    for t, ds in zip(ts, ds_by_t):
         # one call per T: every C_fb shares its channel draws; the Monte
         # Carlo reads only the interval from the budget
         budget = FeedbackBudget(c_fb=cfg.c_fb[0], r_bits=cfg.c_fb[0] * t, t_blocks=t)
@@ -183,8 +184,9 @@ def _scenario_fig4(cfg: ExperimentConfig):
 
 
 # fig5's Lloyd training seeds start here, so the theory's seed + T (T = ceil(R / C_fb))
-# meets neither them nor the sessions' seed + 10007 R + s while every T < 10007.
+# meets neither them nor the sessions' seed + 10007 R + s, as the config holds T < 10007.
 _LLOYD_TRAINING_SEED = 500_000
+_SESSION_SEEDS = 10007
 
 
 def _scenario_fig5(cfg: ExperimentConfig):
@@ -192,12 +194,12 @@ def _scenario_fig5(cfg: ExperimentConfig):
     ccfg = cfg.capacity_config
     c_fb = cfg.c_fb[0]
     header = ["T", "C_theory", "C_lloyd", "stderr"]
+    rates = range(1, cfg.r_max + 1)
+    budgets = [FeedbackBudget.from_rate(r_bits, c_fb) for r_bits in rates]
+    ts = [budget.t_blocks for budget in budgets]
+    ds = distortion_from_rate(params, autocorrelation(params, ts), rates).tolist()
     rows = []
-    for r_bits in range(1, cfg.r_max + 1):
-        budget = FeedbackBudget.from_rate(r_bits, c_fb)
-        t = budget.t_blocks
-        alpha = autocorrelation(params, t)
-        d = distortion_from_rate(params, alpha, r_bits)
+    for r_bits, budget, t, d in zip(rates, budgets, ts, ds):
         [(c_theory, _)] = ergodic_capacity(
             ccfg, budget, [d], trials=cfg.trials, seed=cfg.seed + t,
             workers=cfg.workers,
@@ -206,7 +208,7 @@ def _scenario_fig5(cfg: ExperimentConfig):
             ccfg, budget, n_samples=max(cfg.lloyd_training, 100 * 2 ** r_bits),
             seed=cfg.seed + _LLOYD_TRAINING_SEED + 7 * r_bits,
         )
-        seeds = [cfg.seed + 10007 * r_bits + s for s in range(cfg.lloyd_sessions)]
+        seeds = [cfg.seed + _SESSION_SEEDS * r_bits + s for s in range(cfg.lloyd_sessions)]
         per_block = lloydfb.run_feedback_session(ccfg, budget, cb, n_blocks=12 * t, seeds=seeds)
         # drop two warm-up periods; a contiguous row per session keeps np.mean's sum order
         caps = np.ascontiguousarray(per_block[2 * t:].T).mean(axis=1)
@@ -217,13 +219,10 @@ def _scenario_fig5(cfg: ExperimentConfig):
 
 
 def _scenario_optimal_interval(cfg: ExperimentConfig):
-    params = cfg.params
     header = ["c_fb", "x_opt", "t_opt_real", "t_opt_int", "d_min", "k"]
-    rows = []
-    for c_fb in cfg.c_fb:
-        opt = optimal_interval(params, c_fb)
-        rows.append([c_fb, opt.x_opt, opt.t_opt_real, opt.t_opt_int, opt.d_min, opt.k])
-    return header, rows
+    opts = [optimal_interval(cfg.params, c_fb) for c_fb in cfg.c_fb]
+    return header, [[c_fb, o.x_opt, o.t_opt_real, o.t_opt_int, o.d_min, o.k]
+                    for c_fb, o in zip(cfg.c_fb, opts)]
 
 
 _RUNNERS = {
@@ -239,6 +238,10 @@ SCENARIOS = tuple(_RUNNERS)
 def run_scenario(cfg: ExperimentConfig) -> str:
     """Run one scenario and return the CSV text."""
     header, rows = _RUNNERS[cfg.scenario](cfg)
+    for row in rows:
+        for name, v in zip(header, row):
+            if not math.isfinite(v):
+                raise ArithmeticError(f"{name} is {v} in the row {header[0]}={_fmt(row[0])}")
     return render_csv(_config_comments(cfg), header, rows)
 
 

@@ -271,9 +271,7 @@ def run_feedback_session(
     """
     t = budget.t_blocks
     if cb.rate_bits > budget.c_fb * t + 1e-12:
-        raise ValueError(
-            f"budget violation: R={cb.rate_bits} > C_fb*T={budget.c_fb * t}"
-        )
+        raise ValueError(f"budget violation: R={cb.rate_bits} > C_fb*T={budget.c_fb * t}")
     if n_blocks < t:
         raise ValueError("n_blocks must be >= t_blocks")
     return _sessions(cfg, t, _codebook_quantizer(cb), n_blocks, seeds)
@@ -287,12 +285,9 @@ def bootstrap_codebook(
 ) -> Codebook:
     """Open-loop training: a codebook trained on n_samples open-loop
     differential samples drawn from RngStream(seed, 1)."""
-    p = cfg.params
-    t = budget.t_blocks
-    r_bits = int(round(budget.r_bits))
-    samples = open_loop_training_samples(p, budget, n_samples, RngStream(seed, 1))
-    cb = train_codebook(samples, r_bits, seed=seed)
-    cb.training_meta["interval"] = t
+    samples = open_loop_training_samples(cfg.params, budget, n_samples, RngStream(seed, 1))
+    cb = train_codebook(samples, int(round(budget.r_bits)), seed=seed)
+    cb.training_meta["interval"] = budget.t_blocks
     return cb
 
 
@@ -306,20 +301,13 @@ def save_codebook(path, cb: Codebook, params: ChannelParams, t_blocks: int) -> N
     """Textual codebook format: one JSON header line, training metadata under
     "training_meta", then one line per codeword of row-major 're im' pairs."""
     n, n_r, n_t = cb.entries.shape
-    header = {
-        "version": CODEBOOK_FORMAT_VERSION,
-        "rate_bits": cb.rate_bits,
-        "n_r": n_r,
-        "n_t": n_t,
-        "t_blocks": t_blocks,
-        "params_hash": _params_hash(params),
-        "training_meta": cb.training_meta,
-    }
+    header = {"version": CODEBOOK_FORMAT_VERSION, "rate_bits": cb.rate_bits, "n_r": n_r,
+              "n_t": n_t, "t_blocks": t_blocks, "params_hash": _params_hash(params),
+              "training_meta": cb.training_meta}
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(header, sort_keys=True) + "\n")
         for entry in cb.entries:
-            flat = entry.reshape(-1)
-            fh.write(" ".join(f"{z.real:.17g} {z.imag:.17g}" for z in flat) + "\n")
+            fh.write(" ".join(f"{z.real:.17g} {z.imag:.17g}" for z in entry.reshape(-1)) + "\n")
 
 
 def load_codebook(path, params: ChannelParams | None = None,

@@ -1,11 +1,14 @@
 """Deterministic numerical primitives shared by every other module.
 
-Bessel J0 and J1 (numpy only), seeded random substreams, a prefetching
-normal stream, complex Gaussian sampling and the finiteness check.
+Bessel J0 and J1 (numpy only), the closed forms' float-or-array calls, seeded
+random substreams, a prefetching normal stream, complex Gaussian sampling and
+the finiteness check.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
 import math
 import queue
 import threading
@@ -27,6 +30,22 @@ def check_finite(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise ValueError(f"{name} contains non-finite entries")
     return m
+
+
+def _float_or_array(kernel):
+    """Call kernel(first, *rest) with `rest` broadcast to flat float arrays and
+    give the result their shape, or a Python float if all of `rest` are scalars.
+    A float runs as an array of one, not as a 0-d array: numpy evaluates those
+    with its scalar math, whose bits can differ from its array loops'."""
+    signature = inspect.signature(kernel)
+
+    @functools.wraps(kernel)
+    def call(*args, **kwargs):
+        first, *rest = signature.bind(*args, **kwargs).args
+        rest = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in rest))
+        out = kernel(first, *(a.reshape(-1) for a in rest))
+        return float(out[0]) if rest[0].ndim == 0 else out.reshape(rest[0].shape)
+    return call
 
 
 # |x| < _HANKEL_FROM: the trapezoid rule on Bessel's integrals
@@ -60,19 +79,19 @@ def _hankel_coefficients(order: int) -> tuple[list, list]:
 _HANKEL = [_hankel_coefficients(order) for order in (0, 1)]
 
 
-def _bessel(x, order: int):
-    """J0 or J1 of a float or an array; a float is evaluated as an array of one."""
-    arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"bessel_j{order}: non-finite argument {x!r}")
-    ax = np.abs(arr).reshape(-1)
+@_float_or_array
+def _bessel(order: int, x):
+    """J0 or J1 of the flat array x."""
+    if (bad := ~np.isfinite(x)).any():
+        raise ValueError(f"bessel_j{order}: non-finite argument {x[bad][0]}")
+    ax = np.abs(x)
     out = np.empty_like(ax)
     near = ax < _HANKEL_FROM
-    if np.any(near):
+    if near.any():
         phase = ax[near, None] * _SIN_NODES
         integrand = np.cos(phase) if order == 0 else _SIN_NODES * np.sin(phase)
         out[near] = integrand.mean(axis=1)
-    if not np.all(near):
+    if not near.all():
         far = ax[~near]
         p_coef, q_coef = _HANKEL[order]
         inv2 = 1.0 / (far * far)
@@ -83,19 +102,17 @@ def _bessel(x, order: int):
             out[~near] = ((c + s) * p + (c - s) * q) / np.sqrt(math.pi * far)
         else:
             out[~near] = ((s - c) * p + (s + c) * q) / np.sqrt(math.pi * far)
-    if order == 1:
-        out = np.where(arr.reshape(-1) < 0, -out, out)  # J1 is odd
-    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+    return np.where(x < 0, -out, out) if order == 1 else out  # J1 is odd
 
 
 def bessel_j0(x):
     """Zero-order Bessel function of the first kind, J0(x), of a float or an array."""
-    return _bessel(x, 0)
+    return _bessel(0, x)
 
 
 def bessel_j1(x):
     """First-order Bessel function of the first kind, J1(x) = -d/dx J0(x)."""
-    return _bessel(x, 1)
+    return _bessel(1, x)
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ bound, the minimum feedback rate it implies, its inversion to distortion
 at a given rate, the causal (one-interval-delayed) effective distortion,
 the distortion-versus-interval curve, its derivative in the dimensionless
 variable x = 2 pi f_d tau, and the bracketed optimal-interval solver.
+Each closed form maps floats or arrays alike (mathcore._float_or_array).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelParams, autocorrelation
-from .mathcore import bessel_j0, bessel_j1
+from .mathcore import _float_or_array, bessel_j0, bessel_j1
 
 __all__ = [
     "FeedbackBudget",
@@ -79,46 +80,51 @@ class IntervalOptimum:
     k: float                # exponent constant C_fb / (2 pi N_r N_t f_d t_block)
 
 
-def mi_lower_bound(params: ChannelParams, alpha: float, d: float) -> float:
+@_float_or_array
+def mi_lower_bound(params: ChannelParams, alpha, d):
     """Conditional mutual-information lower bound in bits per complex dim.
 
     log2[ a^2 r^2 + (1 - a^2) sigma_h2 / d
           + (sigma_hhat2 - sigma_h2)(1 + a^2 r) / d ],  r = sigma_h2/sigma_hhat2.
     May be negative; min_feedback_rate clamps at zero.
     """
-    if d <= 0:
-        raise ValueError(f"d must be > 0, got {d}")
-    if abs(alpha) > 1:
-        raise ValueError(f"|alpha| must be <= 1, got {alpha}")
+    if (bad := d <= 0).any():
+        raise ValueError(f"d must be > 0, got {d[bad][0]}")
+    if (bad := np.abs(alpha) > 1).any():
+        raise ValueError(f"|alpha| must be <= 1, got {alpha[bad][0]}")
     r = params.ratio
     a2 = alpha * alpha
     arg = a2 * r * r + (1.0 - a2) * params.sigma_h2 / d \
         + params.sigma_e2 * (1.0 + a2 * r) / d
-    return math.log2(arg)
+    return np.log2(arg)
 
 
-def min_feedback_rate(params: ChannelParams, alpha: float, d: float) -> float:
+@_float_or_array
+def min_feedback_rate(params: ChannelParams, alpha, d):
     """Minimum differential feedback rate in bits: N_r N_t max(MI, 0)."""
-    return params.n_r * params.n_t * max(mi_lower_bound(params, alpha, d), 0.0)
+    return params.n_r * params.n_t * np.maximum(mi_lower_bound(params, alpha, d), 0.0)
 
 
-def distortion_from_rate(params: ChannelParams, alpha: float, r_bits: float) -> float:
+@_float_or_array
+def distortion_from_rate(params: ChannelParams, alpha, r_bits):
     """Invert the minimum-rate expression: distortion achievable with R bits."""
-    if r_bits < 0:
-        raise ValueError(f"r_bits must be >= 0, got {r_bits}")
+    if (bad := r_bits < 0).any():
+        raise ValueError(f"r_bits must be >= 0, got {r_bits[bad][0]}")
     r = params.ratio
     a2r2 = alpha * alpha * r * r
-    g = 2.0 ** (r_bits / (params.n_r * params.n_t))
+    with np.errstate(over="ignore"):  # g = inf gives d = 0; the true d is below any double
+        g = 2.0 ** (r_bits / (params.n_r * params.n_t))
     denom = g - a2r2
-    if not denom > 0:
+    if (bad := ~(denom > 0)).any():
         # only R = 0 with |alpha| r = 1 (a perfectly estimated, fully
         # correlated channel) gets here: 0 bits pin down no distortion
         raise RateDistortionError(
-            f"distortion undefined at R={r_bits}, alpha={alpha}, r={r}")
+            f"distortion undefined at R={r_bits[bad][0]}, alpha={alpha[bad][0]}, r={r}")
     return params.sigma_hhat2 * (1.0 - a2r2) / denom
 
 
-def causal_distortion(params: ChannelParams, alpha: float, r_bits: float) -> float:
+@_float_or_array
+def causal_distortion(params: ChannelParams, alpha, r_bits):
     """Effective distortion after one interval of aging (causal feedback).
 
     The quantized channel from the previous epoch predicts the current
@@ -135,16 +141,17 @@ def causal_distortion(params: ChannelParams, alpha: float, r_bits: float) -> flo
     )
 
 
-def distortion_vs_interval(params: ChannelParams, c_fb: float, t: float) -> float:
+@_float_or_array
+def distortion_vs_interval(params: ChannelParams, c_fb, t):
     """Distortion as a function of the feedback interval T (blocks).
 
     (sigma_h^4/sigma_hhat2) (1 - g) a(T)^2 / (g - r^2 a(T)^2) + sigma_hhat2
     with g = 2^(C_fb T / (N_r N_t)) and a(T) the block-lag-T correlation.
     """
-    if t <= 0:
-        raise ValueError(f"t must be > 0, got {t}")
-    if c_fb <= 0:
-        raise ValueError(f"c_fb must be > 0, got {c_fb}")
+    if (bad := t <= 0).any():
+        raise ValueError(f"t must be > 0, got {t[bad][0]}")
+    if (bad := c_fb <= 0).any():
+        raise ValueError(f"c_fb must be > 0, got {c_fb[bad][0]}")
     r = params.ratio
     a = autocorrelation(params, t)
     a2 = a * a
@@ -164,15 +171,16 @@ def x_to_interval(params: ChannelParams, x: float) -> float:
     return x / (2.0 * math.pi * params.f_d * params.t_block)
 
 
-def distortion_derivative(params: ChannelParams, c_fb: float, x):
+@_float_or_array
+def distortion_derivative(params: ChannelParams, c_fb, x):
     """d/dx of the distortion curve in the dimensionless variable x.
 
     Closed form in terms of J0, J1 and k; shares the sign structure used
     by the bracketed solver (negative near 0, positive at 3/2 for the
-    parameter regimes of interest).  x may be a float or an array.
+    parameter regimes of interest).
     """
-    if np.any(np.asarray(x) <= 0):
-        raise ValueError(f"x must be > 0, got {x}")
+    if (bad := x <= 0).any():
+        raise ValueError(f"x must be > 0, got {x[bad][0]}")
     r = params.ratio
     k = exponent_constant(params, c_fb)
     j0 = bessel_j0(x)
@@ -217,10 +225,8 @@ def optimal_interval(params: ChannelParams, c_fb: float) -> IntervalOptimum:
     t_opt_real = x_to_interval(params, x_opt)
     d_min = distortion_vs_interval(params, c_fb, t_opt_real)
 
-    t_lo = max(1, math.floor(t_opt_real))
-    t_hi = max(1, math.ceil(t_opt_real))
-    candidates = sorted({t_lo, t_hi})
-    t_opt_int = min(candidates, key=lambda t: distortion_vs_interval(params, c_fb, t))
+    candidates = np.unique([max(1, math.floor(t_opt_real)), max(1, math.ceil(t_opt_real))])
+    t_opt_int = int(candidates[np.argmin(distortion_vs_interval(params, c_fb, candidates))])
 
     return IntervalOptimum(x_opt=x_opt, t_opt_real=t_opt_real, t_opt_int=t_opt_int,
                            d_min=d_min, k=k)

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from diffcsi import capacity, cli, lloydfb
+from diffcsi import capacity, cli, harness, lloydfb
 from diffcsi.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, build_parser, main
 from diffcsi.harness import (
     SCENARIOS,
@@ -144,6 +144,18 @@ class TestScenarios:
         assert "# seed=321" in csv
         assert "# t_max=3" in csv
 
+    def test_non_finite_value_names_column_and_row(self, monkeypatch):
+        monkeypatch.setitem(harness._RUNNERS, "fig2",
+                            lambda cfg: (["T", "d_theory"], [[1, 0.5], [2, math.inf]]))
+        with pytest.raises(ArithmeticError, match="d_theory is inf in the row T=2"):
+            run_scenario(ExperimentConfig(scenario="fig2"))
+
+    def test_fig5_session_seed_bound_is_inclusive(self):
+        # s < 10007 sessions per rate keep seed + 10007 R + s apart across rates
+        ExperimentConfig(scenario="fig5", lloyd_sessions=10007, r_max=2, c_fb=[2 / 10005.5])
+        # the bound binds fig5 alone
+        ExperimentConfig(scenario="fig4", lloyd_sessions=10008, c_fb=[1e-300])
+
     def test_unknown_scenario_rejected(self):
         with pytest.raises(ValueError):
             ExperimentConfig(scenario="fig99")
@@ -252,6 +264,29 @@ class TestCli:
         assert err.startswith("numerical failure: Lloyd distortion increased at iteration ")
         assert "Traceback" not in err
 
+    def test_huge_feedback_rate_gives_zero_distortion(self, capsys):
+        # 2^(C_fb T / 4) overflows a double: the distortion is then 0, not an error
+        rc = main(["fig4", "--set", "c_fb=5000", "--set", "t_max=2", "--trials", "2"])
+        assert rc == EXIT_OK
+        rows = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]
+        assert len(rows) == 3 and all(math.isfinite(float(v)) for v in rows[2].split(","))
+
+    def test_all_zero_water_filling_exits_3(self, capsys):
+        # at -320 dB the weakest mode's 1 / (A^2 gamma^2) swamps the power budget
+        rc = main(["fig4", "--set", "snr_db=-320", "--set", "t_max=1", "--trials", "2"])
+        assert rc == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err == "numerical failure: water-filling batch hit an all-zero channel\n"
+
+    def test_non_finite_table_exits_3(self, tmp_path, capsys):
+        out = tmp_path / "old.csv"
+        out.write_bytes(b"old\n")
+        rc = main(["fig4", "--set", "sigma_hhat2=1e300", "--set", "t_max=1", "--trials", "2",
+                   "--out", str(out)])
+        assert rc == EXIT_NUMERICAL
+        assert "C_erg_cfb0.5 is nan in the row T=1" in capsys.readouterr().err
+        assert out.read_bytes() == b"old\n"
+
     def test_numerical_failure_leaves_out_untouched(self, tmp_path):
         old, new = tmp_path / "old.csv", tmp_path / "new.csv"
         old.write_bytes(b"old\n")
@@ -287,6 +322,12 @@ class TestCli:
         ["fig2", "--set", "scenario=fig3"],
         ["fig2", "--set", "n_t=1.5"],
         ["fig2", "--set", "c_fb=1 x"],
+        ["fig4", "--set", "snr_db=4000"],
+        ["fig4", "--set", "snr_db=-4000"],
+        # fig5's seed layout: T = ceil(r_max / c_fb) and the sessions stay below 10007
+        ["fig5", "--set", "r_max=1", "--set", "c_fb=1e-300"],
+        ["fig5", "--set", "r_max=2", "--set", "c_fb=1.998e-4"],
+        ["fig5", "--set", "lloyd_sessions=10008"],
     ])
     def test_invalid_config_exits_2(self, argv, capsys):
         rc = main(argv)

@@ -171,7 +171,7 @@ class TestDistortionVsInterval:
         # pick t with alpha(t)^2 < 1e-12 near a Bessel zero far out
         from scipy.optimize import brentq
         grid = np.linspace(5000.0, 5020.0, 2001)
-        vals = [autocorrelation(params, float(t)) for t in grid]
+        vals = autocorrelation(params, grid)
         i = next(i for i in range(len(vals) - 1) if vals[i] * vals[i + 1] < 0)
         t_zero = brentq(lambda t: autocorrelation(params, t),
                         float(grid[i]), float(grid[i + 1]), xtol=1e-12)
@@ -200,6 +200,14 @@ class TestDistortionDerivative:
     def test_positive_at_three_halves(self, params):
         for c_fb in (0.5, 1.0, 2.0, 4.0):
             assert distortion_derivative(params, c_fb, 1.5) > 0
+
+    @pytest.mark.parametrize("c_fb", [0.5, 1.0, 2.0, 4.0])
+    def test_bracket_grid_equals_scalar_calls(self, params, c_fb):
+        # the solver brackets on this grid in one array call and bisects with
+        # float calls, so both must give the same bits
+        grid = np.linspace(1e-8, 1.5, 4097)
+        each = [distortion_derivative(params, c_fb, float(x)) for x in grid]
+        assert distortion_derivative(params, c_fb, grid).tobytes() == np.array(each).tobytes()
 
     def test_matches_finite_difference(self, params):
         h = 1e-6
@@ -239,10 +247,7 @@ class TestOptimalInterval:
     def test_grid_oracle_agreement(self, params):
         xs = np.linspace(0.0, 1.5, 10**5 + 1)[1:]
         for c_fb in (0.5, 2.0):
-            vals = np.array([
-                distortion_vs_interval(params, c_fb, x_to_interval(params, float(x)))
-                for x in xs
-            ])
+            vals = distortion_vs_interval(params, c_fb, x_to_interval(params, xs))
             x_grid = xs[int(np.argmin(vals))]
             opt = optimal_interval(params, c_fb)
             step = xs[1] - xs[0]
@@ -255,6 +260,55 @@ class TestOptimalInterval:
     def test_exponent_constant(self, params):
         k = exponent_constant(params, 2.0)
         assert k == pytest.approx(2.0 / (2 * math.pi * 4 * 9.26 * 1e-3))
+
+
+# each closed form: its numeric arguments' strategies, the argument that takes
+# a bad element, and that element
+_UNIT = st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True)
+CLOSED_FORMS = {
+    autocorrelation: ([st.floats(0.0, 1e4)], 0, -1.0),
+    mi_lower_bound: ([st.floats(-1.0, 1.0), st.floats(1e-6, 10.0)], 1, 0.0),
+    min_feedback_rate: ([st.floats(-1.0, 1.0), st.floats(1e-6, 10.0)], 1, -0.5),
+    distortion_from_rate: ([_UNIT, st.floats(0.0, 2000.0)], 1, -1.0),
+    causal_distortion: ([_UNIT, st.floats(0.0, 64.0)], 1, -2.0),
+    distortion_vs_interval: ([st.floats(0.01, 8.0), st.floats(1e-6, 1e4)], 1, 0.0),
+    # k x = c_fb x / 0.2327 stays below 512 here, so the derivative's g^2 is finite
+    distortion_derivative: ([st.floats(0.01, 4.0), st.floats(1e-9, 28.0)], 1, -1e-3),
+}
+
+
+class TestFloatOrArray:
+    """Each closed form maps an array as it maps each of its elements."""
+
+    @pytest.mark.parametrize("fn", CLOSED_FORMS, ids=lambda fn: fn.__name__)
+    @given(data=st.data(), excess=st.floats(0.0, 1.0), n=st.integers(1, 40))
+    @settings(max_examples=40, deadline=None)
+    def test_array_equals_float_calls(self, fn, data, excess, n):
+        strategies, bad_arg, bad_value = CLOSED_FORMS[fn]
+        p = make_params(1.0, 1.0 + excess)
+        cols = [np.array(data.draw(st.lists(s, min_size=n, max_size=n))) for s in strategies]
+        # the first argument is sometimes a float, broadcast over the others
+        if len(cols) > 1 and data.draw(st.booleans()):
+            cols[0] = float(cols[0][0])
+        rows = [[c if isinstance(c, float) else float(c[i]) for c in cols] for i in range(n)]
+        each = [fn(p, *row) for row in rows]
+        assert all(type(v) is float for v in each)
+        assert fn(p, *cols).tobytes() == np.array(each).tobytes()
+
+        i = data.draw(st.integers(0, n - 1))
+        cols[bad_arg][i] = rows[i][bad_arg] = bad_value
+        with pytest.raises(ValueError) as scalar:
+            fn(p, *rows[i])
+        with pytest.raises(ValueError) as array:
+            fn(p, *cols)
+        assert str(array.value) == str(scalar.value)
+
+    def test_shape_and_keywords(self, params):
+        ts = np.arange(1.0, 7.0).reshape(2, 3)
+        got = distortion_vs_interval(params, c_fb=[[1.0], [2.0]], t=ts)
+        assert got.shape == (2, 3)
+        assert got[1, 2] == distortion_vs_interval(params, 2.0, 6.0)
+        assert type(autocorrelation(params, lag_blocks=3)) is float
 
 
 class TestGaussianMiOracle:
