@@ -35,8 +35,8 @@ def check_finite(m: np.ndarray, name: str = "matrix") -> np.ndarray:
 def _float_or_array(kernel):
     """Call kernel(first, *rest) with `rest` broadcast to flat float arrays and
     give the result their shape, or a Python float if all of `rest` are scalars.
-    A float runs as an array of one, not as a 0-d array: numpy evaluates those
-    with its scalar math, whose bits can differ from its array loops'."""
+    A float runs as an array of one, not as a 0-d array: numpy computes on those
+    with scalar math, whose bits can differ from its array loops'."""
     signature = inspect.signature(kernel)
 
     @functools.wraps(kernel)
