@@ -33,6 +33,9 @@ __all__ = [
 ]
 
 CHUNK_TRIALS = 2048  # fixed chunking keeps results worker-count invariant
+# |det H|^2 grows like sigma_hhat2^2: fig4 (200 trials, T <= 2) overflowed at
+# 1e154 and not at 1e153, so this leaves 10^4 trials x 100 blocks a tail margin
+MAX_SIGMA_HHAT2 = 1e150
 
 
 @dataclass(frozen=True)
@@ -51,6 +54,9 @@ class CapacityConfig:
     def __post_init__(self):
         if self.l_block <= self.params.n_t:
             raise ValueError("l_block must exceed n_t (pilot overhead)")
+        if self.params.sigma_hhat2 > MAX_SIGMA_HHAT2:  # sigma_h2 <= sigma_hhat2 too
+            raise ValueError(f"sigma_hhat2={self.params.sigma_hhat2} exceeds "
+                             f"{MAX_SIGMA_HHAT2:g}: the capacity kernel would overflow")
         try:  # 10^(snr_db / 10) can overflow, or underflow to an A^2 of 0
             in_range = 1.0 / self.amplitude2 < math.inf
         except (OverflowError, ZeroDivisionError):

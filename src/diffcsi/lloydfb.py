@@ -9,8 +9,6 @@ accumulate) leave both sides with the identical quantized channel.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -28,8 +26,6 @@ __all__ = [
     "run_feedback_session",
     "open_loop_training_samples",
     "bootstrap_codebook",
-    "save_codebook",
-    "load_codebook",
 ]
 
 MAX_RATE_BITS = 16  # exhaustive codeword search is 2^R per sample
@@ -38,8 +34,6 @@ _ERROR_ROWS = 4096  # rows per block of a Lloyd iteration's error pass
 _REFILL = 1024  # normals drawn per generator refill of a batched session
 LLOYD_ITERATIONS = 200  # at most this many Lloyd iterations per training
 LLOYD_MIN_GAIN = 1e-4  # stop once an iteration gains less than this share
-
-CODEBOOK_FORMAT_VERSION = 1
 
 
 @dataclass
@@ -289,51 +283,3 @@ def bootstrap_codebook(
     cb = train_codebook(samples, int(round(budget.r_bits)), seed=seed)
     cb.training_meta["interval"] = budget.t_blocks
     return cb
-
-
-def _params_hash(params: ChannelParams) -> str:
-    blob = json.dumps([params.n_t, params.n_r, params.sigma_h2, params.sigma_hhat2,
-                       params.f_d, params.t_block]).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
-
-
-def save_codebook(path, cb: Codebook, params: ChannelParams, t_blocks: int) -> None:
-    """Textual codebook format: one JSON header line, training metadata under
-    "training_meta", then one line per codeword of row-major 're im' pairs."""
-    n, n_r, n_t = cb.entries.shape
-    header = {"version": CODEBOOK_FORMAT_VERSION, "rate_bits": cb.rate_bits, "n_r": n_r,
-              "n_t": n_t, "t_blocks": t_blocks, "params_hash": _params_hash(params),
-              "training_meta": cb.training_meta}
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for entry in cb.entries:
-            fh.write(" ".join(f"{z.real:.17g} {z.imag:.17g}" for z in entry.reshape(-1)) + "\n")
-
-
-def load_codebook(path, params: ChannelParams | None = None,
-                  t_blocks: int | None = None) -> tuple[Codebook, dict]:
-    """Read a save_codebook file.  Given params or t_blocks, a codebook trained
-    for other channel parameters or another interval is refused."""
-    with open(path, encoding="utf-8") as fh:
-        header = json.loads(fh.readline())
-        if header.get("version") != CODEBOOK_FORMAT_VERSION:
-            raise ValueError(f"unsupported codebook version: {header.get('version')}")
-        if params is not None and header.get("params_hash") != _params_hash(params):
-            raise ValueError(f"{path}: codebook trained for other channel parameters "
-                             f"(params_hash {header.get('params_hash')}, "
-                             f"expected {_params_hash(params)})")
-        if t_blocks is not None and header.get("t_blocks") != t_blocks:
-            raise ValueError(f"{path}: codebook trained for interval "
-                             f"{header.get('t_blocks')}, expected {t_blocks}")
-        n_r, n_t = header["n_r"], header["n_t"]
-        entries = []
-        for lineno, line in enumerate(fh, 2):
-            vals = [float(v) for v in line.split()]
-            if len(vals) != 2 * n_r * n_t:
-                raise ValueError(f"{path}:{lineno}: expected {2 * n_r * n_t} numbers "
-                                 f"per codeword, got {len(vals)}")
-            z = np.array(vals[0::2]) + 1j * np.array(vals[1::2])
-            entries.append(z.reshape(n_r, n_t))
-    cb = Codebook(rate_bits=header["rate_bits"], entries=np.array(entries),
-                  training_meta={**header.get("training_meta", {}), "loaded_from": str(path)})
-    return cb, header

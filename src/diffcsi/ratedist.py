@@ -185,10 +185,11 @@ def distortion_derivative(params: ChannelParams, c_fb, x):
     k = exponent_constant(params, c_fb)
     j0 = bessel_j0(x)
     j1 = bessel_j1(x)
-    g = 2.0 ** (k * x)
+    # numerator and denominator over g^2, g = 2^(k x), so a large k cannot overflow
+    g_inv = 2.0 ** (-k * x)
     c = params.sigma_h2 ** 2 / params.sigma_hhat2
-    numer = g * c * (2.0 * (g - 1.0) * j1 - k * LN2 * (j0 - r * r * j0 ** 3)) * j0
-    denom = (g - r * r * j0 * j0) ** 2
+    numer = c * (2.0 * (1.0 - g_inv) * j1 - k * LN2 * g_inv * (j0 - r * r * j0 ** 3)) * j0
+    denom = (1.0 - r * r * j0 * j0 * g_inv) ** 2
     return numer / denom
 
 

@@ -278,11 +278,33 @@ class TestCli:
         err = capsys.readouterr().err
         assert err == "numerical failure: water-filling batch hit an all-zero channel\n"
 
-    def test_non_finite_table_exits_3(self, tmp_path, capsys):
+    def test_huge_feedback_rate_solves_without_warnings(self, capsys):
+        # 2^(k x) would overflow on most of the bracket grid at k = 21,484
+        rc = main(["optimal-interval", "--set", "c_fb=5000"])
+        assert rc == EXIT_OK
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("sigma_hhat2,rc", [("1e150", EXIT_OK), ("1.01e150", EXIT_USAGE)])
+    def test_channel_variance_bound(self, sigma_hhat2, rc, monkeypatch, capsys):
+        runs = []
+        ergodic = harness.ergodic_capacity
+        monkeypatch.setattr(harness, "ergodic_capacity",
+                            lambda *a, **kw: runs.append(1) or ergodic(*a, **kw))
+        assert main(["fig4", "--set", f"sigma_hhat2={sigma_hhat2}", "--set", "t_max=2",
+                     "--trials", "200"]) == rc
+        err = capsys.readouterr().err
+        if rc == EXIT_OK:
+            assert err == "" and runs
+        else:
+            # rejected with the config, before any Monte Carlo
+            assert err.startswith("error: sigma_hhat2=") and not runs
+
+    def test_non_finite_table_exits_3(self, tmp_path, monkeypatch, capsys):
         out = tmp_path / "old.csv"
         out.write_bytes(b"old\n")
-        rc = main(["fig4", "--set", "sigma_hhat2=1e300", "--set", "t_max=1", "--trials", "2",
-                   "--out", str(out)])
+        monkeypatch.setattr(harness, "ergodic_capacity",
+                            lambda cfg, budget, ds, **kw: [(math.nan, 0.0)] * len(ds))
+        rc = main(["fig4", "--set", "t_max=1", "--trials", "2", "--out", str(out)])
         assert rc == EXIT_NUMERICAL
         assert "C_erg_cfb0.5 is nan in the row T=1" in capsys.readouterr().err
         assert out.read_bytes() == b"old\n"

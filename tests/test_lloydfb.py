@@ -1,5 +1,3 @@
-import dataclasses
-import json
 import math
 
 import numpy as np
@@ -13,11 +11,9 @@ from diffcsi.channel import advance, autocorrelation, estimate
 from diffcsi.lloydfb import (
     Codebook,
     bootstrap_codebook,
-    load_codebook,
     open_loop_training_samples,
     quantize,
     run_feedback_session,
-    save_codebook,
     train_codebook,
 )
 from diffcsi.mathcore import RngStream, sample_cn
@@ -38,6 +34,19 @@ def training_samples(params, budget):
 @pytest.fixture
 def codebook(training_samples):
     return train_codebook(training_samples, rate_bits=4, seed=8)
+
+
+class TestCodebook:
+    @pytest.mark.parametrize("n_entries,bad,match", [
+        (7, 0.0, r"2\^R"),
+        (9, 0.0, r"2\^R"),
+        (8, np.nan, "non-finite"),
+    ], ids=["2^R-1", "2^R+1", "nan"])
+    def test_invalid_entries_rejected(self, n_entries, bad, match):
+        entries = np.ones((n_entries, 2, 2), complex)
+        entries[-1, 1, 0] = bad
+        with pytest.raises(ValueError, match=match):
+            Codebook(rate_bits=3, entries=entries)
 
 
 class TestTrainCodebook:
@@ -302,63 +311,3 @@ class TestBootstrap:
         cb = bootstrap_codebook(cap_cfg, budget, n_samples=2000, seed=3)
         assert len(cb.entries) == 2 ** budget.r_bits
         assert cb.training_meta["interval"] == budget.t_blocks
-
-
-class TestSerialization:
-    def test_round_trip(self, tmp_path, params, budget, codebook):
-        path = tmp_path / "cb.txt"
-        save_codebook(path, codebook, params, budget.t_blocks)
-        loaded, header = load_codebook(path)
-        assert loaded.rate_bits == codebook.rate_bits
-        assert np.allclose(loaded.entries, codebook.entries, atol=1e-15)
-        assert header["t_blocks"] == budget.t_blocks
-        assert header["n_r"] == 2 and header["n_t"] == 2
-        assert loaded.training_meta == {**codebook.training_meta, "loaded_from": str(path)}
-
-    def test_header_without_training_meta_loads(self, tmp_path, params, budget, codebook):
-        path = tmp_path / "cb.txt"
-        save_codebook(path, codebook, params, budget.t_blocks)
-        lines = path.read_text().splitlines()
-        header = json.loads(lines[0])
-        del header["training_meta"]
-        path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
-        loaded, _ = load_codebook(path)
-        assert loaded.training_meta == {"loaded_from": str(path)}
-        assert np.array_equal(loaded.entries, codebook.entries)
-
-    def test_version_check(self, tmp_path, params, budget, codebook):
-        path = tmp_path / "cb.txt"
-        save_codebook(path, codebook, params, budget.t_blocks)
-        text = path.read_text().splitlines()
-        text[0] = text[0].replace('"version": 1', '"version": 99')
-        path.write_text("\n".join(text) + "\n")
-        with pytest.raises(ValueError):
-            load_codebook(path)
-
-    def test_params_and_interval_checked(self, tmp_path, params, budget, codebook):
-        path = tmp_path / "cb.txt"
-        save_codebook(path, codebook, params, budget.t_blocks)
-        loaded, _ = load_codebook(path, params=params, t_blocks=budget.t_blocks)
-        assert np.array_equal(loaded.entries, codebook.entries)
-        other = dataclasses.replace(params, f_d=2 * params.f_d)
-        with pytest.raises(ValueError, match="channel parameters"):
-            load_codebook(path, params=other)
-        with pytest.raises(ValueError, match="interval"):
-            load_codebook(path, t_blocks=budget.t_blocks + 1)
-
-    def test_entry_count_other_than_2_to_the_r(self, tmp_path, params, budget, codebook):
-        path = tmp_path / "cb.txt"
-        save_codebook(path, codebook, params, budget.t_blocks)
-        path.write_text("\n".join(path.read_text().splitlines()[:-1]) + "\n")
-        with pytest.raises(ValueError, match="2\\^R"):
-            load_codebook(path)
-
-    @pytest.mark.parametrize("bad", ["1 2 3", "1 2 3 4 5 6 7 x"])
-    def test_malformed_codeword_line(self, tmp_path, params, budget, codebook, bad):
-        path = tmp_path / "cb.txt"
-        save_codebook(path, codebook, params, budget.t_blocks)
-        lines = path.read_text().splitlines()
-        lines[2] = bad
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError):
-            load_codebook(path)
