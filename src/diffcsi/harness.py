@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lloydfb
-from .capacity import CapacityConfig, ergodic_capacity
+from .capacity import MAX_SIGMA_HHAT2, CapacityConfig, ergodic_capacity
 from .channel import ChannelParams, autocorrelation
 from .ratedist import (
     FeedbackBudget,
@@ -73,6 +73,9 @@ class ExperimentConfig:
         if not self.sigma_e2_list or min(self.sigma_e2_list) < 0:
             raise ValueError(f"sigma_e2_list must be a non-empty list of values >= 0, "
                              f"got {self.sigma_e2_list}")
+        if self.sigma_h2 + max(self.sigma_e2_list) > MAX_SIGMA_HHAT2:  # fig3's sigma_hhat2
+            raise ValueError(f"sigma_e2_list={self.sigma_e2_list} puts sigma_h2 + sigma_e2 "
+                             f"above {MAX_SIGMA_HHAT2:g}")
         # a standard error needs at least two samples
         if self.trials < 2 or self.lloyd_sessions < 2:
             raise ValueError(f"trials and lloyd_sessions must be >= 2, "

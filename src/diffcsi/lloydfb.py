@@ -30,7 +30,6 @@ __all__ = [
 
 MAX_RATE_BITS = 16  # exhaustive codeword search is 2^R per sample
 NEAREST_GEMM = 1 << 18  # rows x codewords x real dim of one codeword-search GEMM
-_ERROR_ROWS = 4096  # rows per block of a Lloyd iteration's error pass
 _REFILL = 1024  # normals drawn per generator refill of a batched session
 LLOYD_ITERATIONS = 200  # at most this many Lloyd iterations per training
 LLOYD_MIN_GAIN = 1e-4  # stop once an iteration gains less than this share
@@ -53,11 +52,6 @@ class Codebook:
 
 def _flatten(mats: np.ndarray) -> np.ndarray:
     return mats.reshape(len(mats), -1)
-
-
-def _abs2(z: np.ndarray) -> np.ndarray:
-    """|z|^2 entrywise, without the hypot that np.abs(z) ** 2 computes first."""
-    return z.real ** 2 + z.imag ** 2
 
 
 def _block_rows(n_codewords: int, real_dim: int) -> int:
@@ -125,8 +119,9 @@ def train_codebook(samples: np.ndarray, rate_bits: int, seed: int = 0) -> Codebo
 
     Alternates nearest-neighbor partition and centroid update (stopping rule:
     LLOYD_ITERATIONS, LLOYD_MIN_GAIN).  Empty cells are repaired by splitting
-    the centroid of the highest-distortion cell.  A rise in distortion from
-    one iteration to the next raises ArithmeticError.
+    the centroid of the highest-distortion cell.  Training stops at the first
+    iteration whose distortion is exactly 0.  A rise in distortion from one
+    iteration to the next raises ArithmeticError.
     """
     if rate_bits < 1:
         raise ValueError("rate_bits must be >= 1")
@@ -147,35 +142,49 @@ def train_codebook(samples: np.ndarray, rate_bits: int, seed: int = 0) -> Codebo
     init_idx = rng.choice(len(samples), size=n_entries, replace=False)
     centers = flat[init_idx].copy()
 
+    # The error pass and the centroid sums read the contiguous columns of
+    # `rows`, not the strided complex `flat`, with the same IEEE operations
+    # in the same order: each |s_k - c_k|^2 is re*re + im*im, and each
+    # coordinate is summed on its own, in sample order.
     err2 = np.empty((len(flat), dim))
+    re, im = np.empty(len(flat)), np.empty(len(flat))
+    sums = np.empty((n_entries, 2 * dim))  # columns re0, im0, re1, ... view as complex
     history = []
     prev = math.inf
     for it in range(LLOYD_ITERATIONS):
         labels = _nearest(rows, centers)
-        for i in range(0, len(flat), _ERROR_ROWS):  # no (N, dim) gather or difference
-            j = i + _ERROR_ROWS
-            err2[i:j] = _abs2(flat[i:j] - centers[labels[i:j]])
+        c_re, c_im = centers.real.T.copy(), centers.imag.T.copy()
+        for k in range(dim):  # labels are in range: "clip" skips take's buffered check
+            np.subtract(rows[:, k], np.take(c_re[k], labels, out=re, mode="clip"), out=re)
+            np.subtract(rows[:, dim + k], np.take(c_im[k], labels, out=im, mode="clip"), out=im)
+            np.multiply(re, re, out=re)
+            np.multiply(im, im, out=im)
+            np.add(re, im, out=err2[:, k])
         dist = float(np.mean(err2) * dim)  # per-sample squared error
         history.append(dist)
         if dist > prev * (1.0 + 1e-12):
             raise ArithmeticError(
                 f"Lloyd distortion increased at iteration {it}: {prev} -> {dist}")
+        if dist == 0.0:  # every sample sits on a codeword; a repair would only add error
+            break
         improved = prev - dist
         counts = np.bincount(labels, minlength=n_entries)
-        cell_dist = np.bincount(labels, np.sum(err2, axis=1), n_entries)
-        # centroid update, one weighted bincount per real coordinate
-        sums = np.stack([np.bincount(labels, col, n_entries) for col in flat.view(float).T],
-                        axis=1).view(complex)
+        for k in range(dim):
+            sums[:, 2 * k] = np.bincount(labels, rows[:, k], n_entries)
+            sums[:, 2 * k + 1] = np.bincount(labels, rows[:, dim + k], n_entries)
         nonempty = counts > 0
-        centers[nonempty] = sums[nonempty] / counts[nonempty, None]
+        centers[nonempty] = sums.view(complex)[nonempty] / counts[nonempty, None]
         # empty-cell repair: split the worst cell's centroid
-        for i in np.flatnonzero(~nonempty):
-            worst = int(np.argmax(cell_dist))
-            jitter = 1e-3 * math.sqrt(max(cell_dist[worst], 1e-30) / max(counts[worst], 1))
-            centers[i] = centers[worst] + jitter * (
-                rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-            )
-            cell_dist[worst] /= 2.0
+        empty = np.flatnonzero(~nonempty)
+        if len(empty):
+            cell_dist = np.bincount(labels, np.sum(err2, axis=1), n_entries)
+            for i in empty:
+                worst = int(np.argmax(cell_dist))
+                jitter = 1e-3 * math.sqrt(max(cell_dist[worst], 1e-30) / max(counts[worst], 1))
+                centers[i] = centers[worst] + jitter * (
+                    rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+                )
+                cell_dist[worst] /= 2.0
         if math.isfinite(prev) and improved < LLOYD_MIN_GAIN * max(dist, 1e-300):
             break
         prev = dist

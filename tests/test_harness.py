@@ -299,6 +299,15 @@ class TestCli:
             # rejected with the config, before any Monte Carlo
             assert err.startswith("error: sigma_hhat2=") and not runs
 
+    @pytest.mark.parametrize("sigma_e2,rc", [
+        ("1e150", EXIT_OK), ("1.01e150", EXIT_USAGE), ("1e308", EXIT_USAGE)])
+    def test_estimation_error_variance_bound(self, sigma_e2, rc, capsys):
+        # fig3 runs each entry at sigma_hhat2 = sigma_h2 + sigma_e2; 1e308 overflowed
+        # mi_lower_bound with a RuntimeWarning before the table was refused
+        assert main(["fig3", "--set", f"sigma_e2_list=0 {sigma_e2}"]) == rc
+        err = capsys.readouterr().err
+        assert err == "" if rc == EXIT_OK else err.startswith("error: sigma_e2_list=")
+
     def test_non_finite_table_exits_3(self, tmp_path, monkeypatch, capsys):
         out = tmp_path / "old.csv"
         out.write_bytes(b"old\n")

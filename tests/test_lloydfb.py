@@ -1,4 +1,6 @@
 import math
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -49,6 +51,30 @@ class TestCodebook:
             Codebook(rate_bits=3, entries=entries)
 
 
+class RepairSpy:
+    """Counts train_codebook's empty-cell repairs: its generator's only
+    standard_normal calls are the repair's two per repaired cell."""
+
+    def __init__(self, monkeypatch):
+        self.draws = 0
+        stream = lloydfb.RngStream
+        monkeypatch.setattr(lloydfb, "RngStream",
+                            lambda *a: SimpleNamespace(generator=lambda: self._wrap(stream(*a))))
+
+    def _wrap(self, stream):
+        gen = stream.generator()
+
+        def standard_normal(*a):
+            self.draws += 1
+            return gen.standard_normal(*a)
+
+        return SimpleNamespace(choice=gen.choice, standard_normal=standard_normal)
+
+    @property
+    def repairs(self):
+        return self.draws // 2
+
+
 class TestTrainCodebook:
     def test_entry_count(self, training_samples):
         cb = train_codebook(training_samples, rate_bits=3, seed=1)
@@ -71,15 +97,65 @@ class TestTrainCodebook:
 
     @pytest.mark.parametrize("rate_bits", range(1, 9))
     def test_equals_unblocked_loop(self, rate_bits):
-        # N one below and one above a boundary of both the search blocks and
-        # the error-pass blocks; at R = 8 the small set also repairs empty cells
-        edge = max(lloydfb._block_rows(2 ** rate_bits, 9), lloydfb._ERROR_ROWS)
+        # N one below and one above a search-block boundary, with N >= 2^R
+        step = lloydfb._block_rows(2 ** rate_bits, 9)
+        edge = step * math.ceil((2 ** rate_bits + 1) / step)
         draw = sample_cn((edge + 1, 2, 2), 1.0, RngStream(66, rate_bits).generator())
         for n in (edge - 1, edge + 1):
             cb = train_codebook(draw[:n], rate_bits, seed=rate_bits)
             entries, meta = lloyd_unblocked(draw[:n], rate_bits, seed=rate_bits)
             assert np.array_equal(cb.entries, entries)
             assert cb.training_meta == meta
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_empty_cell_repair_equals_unblocked_loop(self, seed, monkeypatch):
+        # 1,000 distinct samples, each twice: a codeword initialised on the
+        # copy of another's sample leaves its cell empty
+        draw = sample_cn((1000, 2, 2), 1.0, RngStream(67, 0).generator())
+        samples = np.concatenate([draw, draw])
+        spy = RepairSpy(monkeypatch)
+        cb = train_codebook(samples, 8, seed=seed)
+        assert spy.repairs > 0
+        entries, meta = lloyd_unblocked(samples, 8, seed=seed)
+        assert np.array_equal(cb.entries, entries)
+        assert cb.training_meta == meta
+
+    @given(rate_bits=st.integers(min_value=1, max_value=4),
+           extra=st.integers(min_value=1, max_value=24),
+           n_dup=st.integers(min_value=0, max_value=60),
+           block=st.integers(min_value=1, max_value=40),
+           seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    # 57 rows, one in the last block, 7 repairs; 20 rows, 6 in the last block, 1 repair
+    @example(rate_bits=4, extra=1, n_dup=40, block=8, seed=0)
+    @example(rate_bits=2, extra=1, n_dup=15, block=7, seed=1)
+    def test_duplicates_equal_unblocked_loop(self, rate_bits, extra, n_dup, block, seed):
+        # 2^R + extra distinct rows, n_dup of them repeated, in search blocks of
+        # `block` rows.  Repeats leave cells empty, so the repair runs; more
+        # distinct rows than codewords keep the distortion above 0.
+        rng = np.random.default_rng(seed)
+        distinct = sample_cn((2 ** rate_bits + extra, 2, 2), 1.0, rng)
+        samples = np.concatenate([distinct, distinct[rng.integers(0, len(distinct), n_dup)]])
+        samples = samples[rng.permutation(len(samples))]
+        with mock.patch.object(lloydfb, "NEAREST_GEMM", block * 2 ** rate_bits * 9):
+            assert lloydfb._block_rows(2 ** rate_bits, 9) == block
+            cb = train_codebook(samples, rate_bits, seed=seed)
+        entries, meta = lloyd_unblocked(samples, rate_bits, seed=seed)
+        assert np.array_equal(cb.entries, entries)
+        assert cb.training_meta == meta
+
+    @pytest.mark.parametrize("n_distinct,copies,rate_bits", [(64, 5, 8), (6, 3, 3)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_zero_distortion_stops(self, n_distinct, copies, rate_bits, seed):
+        # fewer distinct samples than codewords: a repair after the distortion
+        # reached 0 moved a codeword off its sample and raised at some seeds
+        draw = sample_cn((n_distinct, 2, 2), 1.0, RngStream(70, 0).generator())
+        samples = np.concatenate([draw] * copies)
+        cb = train_codebook(samples, rate_bits, seed=seed)
+        hist = cb.training_meta["distortion_history"]
+        assert 0.0 not in hist[:-1]
+        if hist[-1] == 0.0:
+            assert np.array_equal(quantize(samples, cb)[1], samples)
 
     def test_converse_bound_on_held_out(self, params, budget, codebook):
         held_out = open_loop_training_samples(params, budget, 20000, RngStream(62, 0))
