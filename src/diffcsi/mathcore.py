@@ -135,32 +135,41 @@ class RngStream:
 
 
 _PREFETCH = 1 << 14  # normals per batch the prefetch thread draws
+_PREFETCH_FLOOR = 256  # least normals per row of a batch, so many rows still draw in runs
 
 
 class _Prefetch:
-    """A generator's standard normals, drawn ahead on one daemon thread.
+    """Standard normals of one generator per row, drawn ahead on one daemon thread.
 
-    Used as a context manager around a Generator: standard_normal(shape)
-    returns the generator's next prod(shape) normals, in order, which are
-    the values the generator itself would return, since its normals do not
-    depend on how its draws are split.  The thread keeps up to two batches
-    of _PREFETCH normals queued while the caller computes, and calls nothing
-    but the generator.  An error it hits is raised at the caller's next
-    read; leaving the block stops and joins the thread.
+    Used as a context manager around generators.  With one generator,
+    standard_normal(shape) returns its next prod(shape) normals.  With B
+    generators, shape[0] must be B, and row i holds generator i's next
+    prod(shape[1:]) normals.  In either case they are, in order, the values
+    the generators themselves would return, since a generator's normals do
+    not depend on how its draws are split.  The thread draws batches of
+    max(_PREFETCH_FLOOR, _PREFETCH // B) normals per row, each row filled in
+    place by its own generator, and keeps up to two batches queued while the
+    caller computes.  It calls nothing but the generators.  An error it hits
+    is raised at the caller's next read; leaving the block stops and joins
+    the thread.
     """
 
-    def __init__(self, gen: np.random.Generator):
-        self._gen = gen
+    def __init__(self, *gens: np.random.Generator):
+        self._gens = gens
+        self._batch = (len(gens), max(_PREFETCH_FLOOR, _PREFETCH // len(gens)))
         self._queue = queue.Queue(maxsize=2)
         self._stop = threading.Event()
         self._thread = threading.Thread(target=self._produce, name="diffcsi-prefetch",
                                         daemon=True)
-        self._buf = np.empty(0)
+        self._buf = np.empty((len(gens), 0))
 
     def _produce(self) -> None:
         try:
             while not self._stop.is_set():
-                self._queue.put(self._gen.standard_normal(_PREFETCH))
+                batch = np.empty(self._batch)
+                for gen, row in zip(self._gens, batch):
+                    gen.standard_normal(out=row)
+                self._queue.put(batch)
         except BaseException as exc:  # the reader raises it; a lost error would hang it
             self._queue.put(exc)
 
@@ -180,20 +189,24 @@ class _Prefetch:
         self._thread.join()
 
     def standard_normal(self, shape) -> np.ndarray:
-        k = math.prod(shape)
-        parts, have = [self._buf], self._buf.size
+        rows = len(self._gens)
+        if rows > 1 and tuple(shape)[:1] != (rows,):
+            raise ValueError(f"a read from {rows} generators needs shape[0] == {rows}, "
+                             f"got shape {shape}")
+        k = math.prod(shape) // rows
+        parts, have = [self._buf], self._buf.shape[1]
         while have < k:
             batch = self._queue.get()
             if isinstance(batch, BaseException):
                 self._queue.put(batch)  # a later read raises it as well
                 raise batch
             parts.append(batch)
-            have += batch.size
+            have += batch.shape[1]
         # a read that starts on a batch boundary and takes one batch is no copy
         parts = [a for a in parts if a.size] or [self._buf]
-        flat = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        self._buf = flat[k:]
-        return flat[:k].reshape(shape)
+        drawn = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+        self._buf = drawn[:, k:]
+        return drawn[:, :k].reshape(shape)
 
 
 def sample_cn(shape: tuple, variance: float, rng: np.random.Generator) -> np.ndarray:

@@ -1,9 +1,25 @@
+import threading
+
 import numpy as np
 import pytest
 
 from diffcsi import lloydfb
 from diffcsi.capacity import CapacityConfig
 from diffcsi.channel import ChannelParams
+
+
+def _prefetch_threads():
+    return {t for t in threading.enumerate() if t.name == "diffcsi-prefetch"}
+
+
+@pytest.fixture(autouse=True)
+def no_prefetch_thread_left():
+    """Fail a test that leaves a prefetch thread alive: a stream stops and
+    joins its thread when its block ends, also when the block raises."""
+    before = _prefetch_threads()
+    yield
+    left = _prefetch_threads() - before
+    assert not left, f"{len(left)} diffcsi-prefetch thread(s) left alive"
 
 
 @pytest.fixture

@@ -78,11 +78,18 @@ class TestWaterfill:
     @given(g1=st.floats(min_value=0.05, max_value=5.0),
            ratio=st.floats(min_value=0.01, max_value=1.0),
            a2=st.floats(min_value=0.01, max_value=50.0))
+    @example(g1=0.0546875, ratio=0.9999999999999999, a2=0.01171875)
     @settings(max_examples=200, deadline=None)
     def test_power_conservation_property(self, g1, ratio, a2):
+        # z2_i = mu - 1/(a2 g_i^2) rounds at the scale of mu, so the sum can
+        # miss 2 by an ulp of mu: 3.6e-12 at the example, where mu = 28,534
         alloc = waterfill(np.array([g1, g1 * ratio]), a2, 2)
-        assert abs(alloc.z2.sum() - 2.0) < 1e-12
+        tol = 4 * np.finfo(float).eps * max(alloc.mu, 1.0)
+        assert abs(alloc.z2.sum() - 2.0) <= tol
         assert np.all(alloc.z2 >= 0)
+        batch = waterfill_batch(np.array([[g1, g1 * ratio]]), a2, 2)[0]
+        assert abs(batch.sum() - 2.0) <= tol
+        assert np.all(batch >= 0)
 
 
 class TestBlockCapacity:

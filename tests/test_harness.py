@@ -150,6 +150,24 @@ class TestScenarios:
         with pytest.raises(ArithmeticError, match="d_theory is inf in the row T=2"):
             run_scenario(ExperimentConfig(scenario="fig2"))
 
+    def test_size_bounds_are_inclusive(self):
+        # 10^6 T points, also when t_step thins a longer range, and fig5's own
+        # largest training set; a config allocates nothing, so these are cheap
+        ExperimentConfig(scenario="fig2", t_max=10**6)
+        ExperimentConfig(scenario="fig4", t_max=10**8, t_step=100)
+        ExperimentConfig(scenario="fig5", lloyd_training=100 * 2 ** lloydfb.MAX_RATE_BITS)
+
+    @pytest.mark.parametrize("overrides, match", [
+        (dict(t_max=10**6 + 1), "T sweep"),
+        (dict(t_max=10**8), "T sweep"),
+        (dict(t_min=5, t_max=10**8, t_step=99), "T sweep"),
+        (dict(lloyd_training=100 * 2 ** lloydfb.MAX_RATE_BITS + 1), "lloyd_training"),
+        (dict(lloyd_training=10**8), "lloyd_training"),
+    ])
+    def test_sizes_that_exhaust_memory_rejected(self, overrides, match):
+        with pytest.raises(ValueError, match=match):
+            ExperimentConfig(scenario="fig5", **overrides)
+
     def test_fig5_session_seed_bound_is_inclusive(self):
         # s < 10007 sessions per rate keep seed + 10007 R + s apart across rates
         ExperimentConfig(scenario="fig5", lloyd_sessions=10007, r_max=2, c_fb=[2 / 10005.5])
@@ -244,6 +262,17 @@ class TestCli:
         assert err.startswith("error: ") and str(out) in err
         assert "Traceback" not in err
         assert runs == [] and not out.parent.exists()
+
+    @pytest.mark.parametrize("argv", [["fig2", "--set", "t_max=100000000"],
+                                      ["fig5", "--set", "lloyd_training=100000000"]])
+    def test_sizes_that_exhaust_memory_exit_2(self, argv, monkeypatch, capsys):
+        # the scenario is stubbed, so a missing bound fails here without allocating
+        runs = []
+        monkeypatch.setattr(cli, "run_scenario", lambda cfg: runs.append(cfg) or "")
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and argv[2].partition("=")[0] in err
+        assert runs == []
 
     def test_usage_error_missing_config(self, capsys):
         rc = main(["fig3", "--config", "/nonexistent/file.cfg"])

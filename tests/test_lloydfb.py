@@ -1,4 +1,5 @@
 import math
+import threading
 from types import SimpleNamespace
 from unittest import mock
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from diffcsi import lloydfb
+from diffcsi import lloydfb, mathcore
 from diffcsi.capacity import _capacity_batch, _held_precoder
 from diffcsi.channel import advance, autocorrelation, estimate
 from diffcsi.lloydfb import (
@@ -351,6 +352,10 @@ class TestFeedbackSession:
         with pytest.raises(ValueError):
             run_feedback_session(cap_cfg, budget, codebook, n_blocks=2, seeds=[1])
 
+    def test_no_seeds_rejected(self, cap_cfg, budget, codebook):
+        with pytest.raises(ValueError, match="0 seeds"):
+            run_feedback_session(cap_cfg, budget, codebook, n_blocks=8, seeds=[])
+
     def test_epoch_distortion_respects_converse(self, params, cap_cfg, budget, codebook):
         dists = []
         for s in range(20):
@@ -369,17 +374,35 @@ class TestFeedbackSession:
         assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("rate_bits", [1, 4])
-    def test_batch_equals_single_sessions(self, params, cap_cfg, rate_bits):
+    def test_batch_equals_single_sessions(self, params, cap_cfg, rate_bits, monkeypatch):
         budget = FeedbackBudget(c_fb=1.0, r_bits=rate_bits, t_blocks=4)
         samples = open_loop_training_samples(params, budget, 1000, RngStream(65, 0))
         cb = train_codebook(samples, rate_bits=rate_bits, seed=8)
-        # 300 blocks of 16 normals each cross four refills of lloydfb._REFILL = 1024
+        # a session's 300 blocks read 4,800 normals, 8 at a time: in the batch
+        # they cross 15 boundaries of prefetch rows of 300, and in a single
+        # session four of batches of 1,004
+        monkeypatch.setattr(mathcore, "_PREFETCH", 1004)
+        monkeypatch.setattr(mathcore, "_PREFETCH_FLOOR", 300)
         seeds = [3, 17, 17, 40, 41]
         batch = run_feedback_session(cap_cfg, budget, cb, n_blocks=300, seeds=seeds)
         assert batch.shape == (300, len(seeds))
         for j, s in enumerate(seeds):
             single = run_feedback_session(cap_cfg, budget, cb, n_blocks=300, seeds=[s])
             assert np.array_equal(batch[:, j], single[:, 0])
+
+    def test_failed_quantizer_stops_the_prefetch_thread(self, cap_cfg):
+        calls = []
+
+        def failing(h_hat, h_bar):
+            calls.append(1)
+            if len(calls) == 3:
+                raise KeyError("quantizer failed")
+            return h_hat
+
+        with pytest.raises(KeyError):
+            lloydfb._sessions(cap_cfg, 2, failing, 10, [4, 5, 6])
+        assert len(calls) == 3
+        assert not [t for t in threading.enumerate() if t.name == "diffcsi-prefetch"]
 
 
 class TestBootstrap:

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diffcsi import mathcore
 from diffcsi.mathcore import _PREFETCH, RngStream, _Prefetch, bessel_j0, bessel_j1, sample_cn
 
 J0_FIRST_ZERO = 2.404825557695773
@@ -161,11 +162,32 @@ class _FailingGenerator:
     def __init__(self, good):
         self.gen, self.good = RngStream(3, 0).generator(), good
 
-    def standard_normal(self, size):
+    def standard_normal(self, size=None, out=None):
         if self.good == 0:
             raise RuntimeError("generator failed")
         self.good -= 1
-        return self.gen.standard_normal(size)
+        return self.gen.standard_normal(size, out=out)
+
+
+def _read_until_failure(gens, shape, good):
+    """Read good + 1 batches of the given shape, on a reader thread, from a
+    stream whose last generator fails after `good` batches; the reader's
+    errors, once it has finished."""
+    caught = []
+
+    def read():
+        try:
+            with _Prefetch(*gens, _FailingGenerator(good)) as rng:
+                for _ in range(good + 1):
+                    rng.standard_normal(shape)
+        except RuntimeError as exc:
+            caught.append(str(exc))
+
+    reader = threading.Thread(target=read, daemon=True)
+    reader.start()
+    reader.join(timeout=30)
+    assert not reader.is_alive(), "the reader hung on a failed producer"
+    return caught
 
 
 class TestPrefetch:
@@ -223,22 +245,44 @@ class TestPrefetch:
 
     @pytest.mark.parametrize("good", [0, 3])
     def test_producer_error_reaches_the_reader(self, good):
-        caught = []
-
-        def read():
-            try:
-                with _Prefetch(_FailingGenerator(good)) as rng:
-                    for _ in range(good + 1):
-                        rng.standard_normal((_PREFETCH,))
-            except RuntimeError as exc:
-                caught.append(exc)
-
-        reader = threading.Thread(target=read, daemon=True)
-        reader.start()
-        reader.join(timeout=30)
-        assert not reader.is_alive(), "the reader hung on a failed producer"
-        assert [str(e) for e in caught] == ["generator failed"]
+        assert _read_until_failure([], (_PREFETCH,), good) == ["generator failed"]
         assert _prefetch_threads() == []
+
+    @pytest.mark.parametrize("good", [0, 3])
+    def test_producer_error_in_a_row_reaches_the_reader(self, good):
+        # the last of three rows fails; each read takes one batch, since
+        # _PREFETCH // 3 is above the floor
+        gens = [RngStream(3, 1).generator(), RngStream(3, 2).generator()]
+        assert _read_until_failure(gens, (3, _PREFETCH // 3), good) == ["generator failed"]
+        assert _prefetch_threads() == []
+
+    # (_PREFETCH, floor, generators): per-row batches of 8 normals; of the
+    # floor, 5, where 24 // 6 = 4 is below it; and one generator's batch of 24
+    @pytest.mark.parametrize("prefetch, floor, rows", [(24, 5, 3), (24, 5, 6), (24, 5, 1)])
+    def test_rows_bitwise_equal_their_generators(self, monkeypatch, prefetch, floor, rows):
+        monkeypatch.setattr(mathcore, "_PREFETCH", prefetch)
+        monkeypatch.setattr(mathcore, "_PREFETCH_FLOOR", floor)
+        # per row: within a batch, a whole batch, none, reads that straddle one
+        # and several batch boundaries, and a sample_cn-shaped read
+        shapes = [(rows, 3), (rows, 5), (rows, 0), (rows, 8), (rows, 1), (rows, 2, 2, 2),
+                  (rows, 17), (rows, 53), (rows, 2), (rows, 24)]
+        gens = [RngStream(13, i).generator() for i in range(rows)]
+        with _Prefetch(*gens) as rng:
+            got = [rng.standard_normal(shape) for shape in shapes]
+        assert [g.shape for g in got] == shapes
+        per_row = np.concatenate([g.reshape(rows, -1) for g in got], axis=1)
+        for i, row in enumerate(per_row):
+            assert np.array_equal(row, RngStream(13, i).generator().standard_normal(row.size))
+
+    @pytest.mark.parametrize("shape", [(3, 4), (1, 8), (2,), ()])
+    def test_read_must_have_a_row_per_generator(self, shape):
+        with _Prefetch(*(RngStream(14, i).generator() for i in range(4))) as rng:
+            with pytest.raises(ValueError, match="shape"):
+                rng.standard_normal(shape)
+            # the refused read took nothing from the stream
+            got = rng.standard_normal((4, 6))
+        for i in range(4):
+            assert np.array_equal(got[i], RngStream(14, i).generator().standard_normal(6))
 
 
 @given(st.integers(min_value=0, max_value=2**63 - 1),
