@@ -321,8 +321,8 @@ def ergodic_capacity(
         raise ValueError(f"distortions must be a non-empty sequence, got {distortions!r}")
     if not np.all(np.isfinite(ds)) or np.any(ds < 0):
         raise ValueError(f"distortions must be finite and >= 0, got {ds.tolist()}")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    if trials < 2:  # a standard error needs at least two samples
+        raise ValueError(f"trials must be >= 2, got {trials}")
     if periods < 1:
         raise ValueError(f"periods must be >= 1, got {periods}")
     if mode not in ("simulate", "analytic"):
@@ -339,6 +339,6 @@ def ergodic_capacity(
     out = []
     for per_trial in np.concatenate(results, axis=1):
         mean = float(math.fsum(per_trial) / trials)
-        var = math.fsum((per_trial - mean) ** 2) / (trials - 1) if trials > 1 else math.nan
+        var = math.fsum((per_trial - mean) ** 2) / (trials - 1)
         out.append((mean, math.sqrt(var / trials)))
     return out

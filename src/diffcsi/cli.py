@@ -12,7 +12,6 @@ import sys
 from .harness import (
     SCENARIOS,
     ExperimentConfig,
-    load_config_file,
     parse_config_item,
     run_scenario,
 )
@@ -24,15 +23,11 @@ EXIT_NUMERICAL = 3
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=None, help="master RNG seed")
-    parser.add_argument("--trials", type=int, default=None, help="Monte Carlo trials")
-    parser.add_argument("--out", default=None, help="output CSV path (default stdout)")
-    parser.add_argument("--config", default=None, help="key=value config file")
-    parser.add_argument("--workers", type=int, default=None, help="worker processes")
     parser.add_argument(
         "--set", action="append", default=[], metavar="KEY=VALUE",
-        help="override any config key (repeatable)",
+        help="set any config key (repeatable; a later one wins)",
     )
+    parser.add_argument("--out", default=None, help="output CSV path (default stdout)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -48,13 +43,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
-    values = {}
-    if args.config:
-        values.update(load_config_file(args.config))
-    values.update(parse_config_item(item) for item in args.set)
-    for flag in ("seed", "trials", "workers"):
-        if getattr(args, flag) is not None:
-            values[flag] = getattr(args, flag)
+    values = dict(parse_config_item(item) for item in args.set)
     if values.setdefault("scenario", args.command) != args.command:
         raise ValueError(f"scenario={values['scenario']} contradicts the "
                          f"subcommand {args.command}")

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lloydfb
-from .capacity import MAX_SIGMA_HHAT2, CapacityConfig, ergodic_capacity
+from .capacity import CHUNK_TRIALS, MAX_SIGMA_HHAT2, CapacityConfig, ergodic_capacity
 from .channel import ChannelParams, autocorrelation
 from .ratedist import (
     FeedbackBudget,
@@ -29,7 +29,6 @@ __all__ = [
     "SCENARIOS",
     "run_scenario",
     "render_csv",
-    "load_config_file",
 ]
 
 @dataclass
@@ -82,10 +81,8 @@ class ExperimentConfig:
                              f"got {self.trials}, {self.lloyd_sessions}")
         if not 1 <= self.r_max <= lloydfb.MAX_RATE_BITS:
             raise ValueError(f"r_max must be in 1..{lloydfb.MAX_RATE_BITS}, got {self.r_max}")
-        # fig5 builds 100 * 2^R samples by itself; 10^6 at R = 1 took 282 MB
-        if not 1 <= self.lloyd_training <= 100 * 2 ** lloydfb.MAX_RATE_BITS:
-            raise ValueError(f"lloyd_training must be in 1..{100 * 2 ** lloydfb.MAX_RATE_BITS}, "
-                             f"got {self.lloyd_training}")
+        if self.lloyd_training < 1:
+            raise ValueError(f"lloyd_training must be >= 1, got {self.lloyd_training}")
         if self.seed < 0 or self.workers < 1:
             raise ValueError(f"seed must be >= 0 and workers >= 1, "
                              f"got {self.seed}, {self.workers}")
@@ -102,7 +99,25 @@ class ExperimentConfig:
             raise ValueError(f"fig5's seeds need ceil(r_max / c_fb[0]) < {_SESSION_SEEDS} and "
                              f"lloyd_sessions <= {_SESSION_SEEDS}, got {self.r_max}, "
                              f"{self.c_fb[0]}, {self.lloyd_sessions}")
-        # the channel and link configs run their own range checks
+        # the channel and link configs run their own range checks, the
+        # antenna counts before they size the arrays below
+        self.params
+        antennas = f"n_t={self.n_t}, n_r={self.n_r}"
+        # a Monte Carlo chunk stacks a row per trial and C_fb value (fig4) or per
+        # trial or session (fig5); a row holds H (n_r x n_t), its precoder
+        # (n_t x n_t) and J J^+ (n_r x n_r)
+        chunk = min(self.trials, CHUNK_TRIALS)
+        rows = {"fig4": len(self.c_fb) * chunk, "fig5": max(chunk, self.lloyd_sessions)}
+        row = self.n_r * self.n_t + self.n_t ** 2 + self.n_r ** 2
+        if rows.get(self.scenario, 0) * row > _MAX_ENTRIES:
+            raise ValueError(f"{antennas}: a Monte Carlo chunk of {rows[self.scenario]} rows "
+                             f"(trials, c_fb, lloyd_sessions) of n_r n_t + n_t^2 + n_r^2 = "
+                             f"{row} entries holds more than {_MAX_ENTRIES} complex entries")
+        samples = max(self.lloyd_training, 100 * 2 ** self.r_max)  # fig5's largest set
+        if self.scenario == "fig5" and samples * self.n_r * self.n_t > _MAX_ENTRIES:
+            raise ValueError(f"{antennas}: fig5's training set of max(lloyd_training, "
+                             f"100 * 2^r_max) = {samples} samples of n_r * n_t entries "
+                             f"holds more than {_MAX_ENTRIES} complex entries")
         self.capacity_config
 
     @property
@@ -192,6 +207,12 @@ def _scenario_fig4(cfg: ExperimentConfig):
     return header, rows
 
 
+# the most complex entries a training set or a Monte Carlo chunk may hold:
+# fig5's largest 2x2 training set, 100 * 2^16 samples.  At this cap the peak
+# RSS measured 1.6 GB for that set (2.0 GB at 1x1), 0.46-1.24 GB for fig4
+# chunks of up to 64 antennas a side and 1.3-1.7 GB for fig5's session chunks.
+_MAX_ENTRIES = 100 * 2 ** lloydfb.MAX_RATE_BITS * 4
+
 # fig5's Lloyd training seeds start here, so the theory's seed + T (T = ceil(R / C_fb))
 # meets neither them nor the sessions' seed + 10007 R + s, as the config holds T < 10007.
 _LLOYD_TRAINING_SEED = 500_000
@@ -274,24 +295,9 @@ def parse_config_value(key: str, raw: str):
 
 
 def parse_config_item(item: str) -> tuple:
-    """One `key=value` setting, as a config file line or `--set` holds it."""
+    """One `key=value` setting, as `--set` holds it."""
     key, sep, raw = (part.strip() for part in item.partition("="))
     if not sep:
         raise ValueError(f"expected key=value, got {item!r}")
     return key, parse_config_value(key, raw)
 
-
-def load_config_file(path) -> dict:
-    """Flat key=value config format; '#' starts a comment line."""
-    values = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                key, value = parse_config_item(line)
-            except (KeyError, ValueError) as exc:
-                raise ValueError(f"{path}:{lineno}: {exc.args[0]}") from None
-            values[key] = value
-    return values

@@ -317,8 +317,9 @@ class TestErgodicCapacity:
 
     def test_invalid_arguments(self, cap_cfg):
         budget = FeedbackBudget(c_fb=2.0, r_bits=6.0, t_blocks=3)
-        with pytest.raises(ValueError):
-            ergodic_capacity(cap_cfg, budget, [0.2], trials=0, seed=1)
+        for trials in (0, 1):
+            with pytest.raises(ValueError, match=f"trials must be >= 2, got {trials}"):
+                ergodic_capacity(cap_cfg, budget, [0.2], trials=trials, seed=1)
         with pytest.raises(ValueError):
             ergodic_capacity(cap_cfg, budget, [0.2], trials=10, seed=1, mode="bogus")
 

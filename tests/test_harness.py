@@ -1,6 +1,8 @@
 import argparse
 import dataclasses
 import math
+import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -10,12 +12,18 @@ from diffcsi.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, build_parser, main
 from diffcsi.harness import (
     SCENARIOS,
     ExperimentConfig,
-    load_config_file,
     parse_config_value,
     render_csv,
     run_scenario,
 )
 from diffcsi.ratedist import FeedbackBudget
+
+README = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+
+
+def _subparsers() -> argparse._SubParsersAction:
+    [sub] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub
 
 
 class TestIntervalFromBudget:
@@ -150,12 +158,26 @@ class TestScenarios:
         with pytest.raises(ArithmeticError, match="d_theory is inf in the row T=2"):
             run_scenario(ExperimentConfig(scenario="fig2"))
 
-    def test_size_bounds_are_inclusive(self):
+    def test_size_bounds_are_inclusive(self, monkeypatch):
         # 10^6 T points, also when t_step thins a longer range, and fig5's own
         # largest training set; a config allocates nothing, so these are cheap
         ExperimentConfig(scenario="fig2", t_max=10**6)
         ExperimentConfig(scenario="fig4", t_max=10**8, t_step=100)
         ExperimentConfig(scenario="fig5", lloyd_training=100 * 2 ** lloydfb.MAX_RATE_BITS)
+        # 100 * 2^16 * 4 complex entries: a training set of 409,600 8x8 samples
+        ExperimentConfig(scenario="fig5", n_t=8, n_r=8, lloyd_training=409600)
+        ExperimentConfig(scenario="fig5", n_t=8, n_r=8, r_max=12)
+        # the largest chunks at 64x64 (12,288 entries a row) and at 1x64 (4,161)
+        ExperimentConfig(scenario="fig4", n_t=64, n_r=64, trials=533)
+        ExperimentConfig(scenario="fig4", n_t=1, n_r=64, trials=1575)
+        ExperimentConfig(scenario="fig5", n_t=64, n_r=64, r_max=1, lloyd_training=1,
+                         lloyd_sessions=2133)
+        # no antenna counts make a chunk fill the cap exactly, so move the cap:
+        # 4 C_fb values x 100 trials of 2x2 rows (12 entries each)
+        monkeypatch.setattr(harness, "_MAX_ENTRIES", 4 * 100 * 12)
+        ExperimentConfig(scenario="fig4", trials=100)
+        with pytest.raises(ValueError, match="chunk of 404 rows"):
+            ExperimentConfig(scenario="fig4", trials=101)
 
     @pytest.mark.parametrize("overrides, match", [
         (dict(t_max=10**6 + 1), "T sweep"),
@@ -163,10 +185,22 @@ class TestScenarios:
         (dict(t_min=5, t_max=10**8, t_step=99), "T sweep"),
         (dict(lloyd_training=100 * 2 ** lloydfb.MAX_RATE_BITS + 1), "lloyd_training"),
         (dict(lloyd_training=10**8), "lloyd_training"),
+        # one chunk's channel draw alone would take 16 GB
+        (dict(scenario="fig4", n_t=1000, n_r=1000), "n_t=1000, n_r=1000: a Monte Carlo chunk"),
+        (dict(scenario="fig4", n_t=64, n_r=64, trials=534), "chunk of 2136 rows"),
+        (dict(scenario="fig4", n_t=1, n_r=64, trials=1576), "chunk of 6304 rows"),
+        (dict(scenario="fig4", n_t=64, n_r=1, trials=1576), "chunk of 6304 rows"),
+        (dict(n_t=64, n_r=64, r_max=1, lloyd_training=1, lloyd_sessions=2134),
+         "chunk of 2134 rows"),
+        # 16 times the largest 2x2 training set, about 29 GB
+        (dict(n_t=8, n_r=8, lloyd_training=6553600), "n_t=8, n_r=8: fig5's training set"),
+        (dict(n_t=8, n_r=8, lloyd_training=409601), "training set of .* = 409601 samples"),
+        (dict(n_t=8, n_r=8, r_max=13), "training set of .* = 819200 samples"),
+        (dict(n_t=4, n_r=4, r_max=16), "training set"),
     ])
     def test_sizes_that_exhaust_memory_rejected(self, overrides, match):
         with pytest.raises(ValueError, match=match):
-            ExperimentConfig(scenario="fig5", **overrides)
+            ExperimentConfig(**{"scenario": "fig5", **overrides})
 
     def test_fig5_session_seed_bound_is_inclusive(self):
         # s < 10007 sessions per rate keep seed + 10007 R + s apart across rates
@@ -194,21 +228,10 @@ class TestConfigParsing:
         value = parse_config_value(f.name, raw)
         assert type(value) is f.type and value == expected
 
-    def test_config_file(self, tmp_path):
-        path = tmp_path / "run.cfg"
-        path.write_text("# comment\ntrials = 250\nc_fb = 1 2\n\nsnr_db=6\n")
-        values = load_config_file(path)
-        assert values == {"trials": 250, "c_fb": [1.0, 2.0], "snr_db": 6.0}
-
-    def test_config_file_bad_line(self, tmp_path):
-        path = tmp_path / "run.cfg"
-        path.write_text("trials 250\n")
-        with pytest.raises(ValueError):
-            load_config_file(path)
-        path.write_text("trials = 250\nc_fb = 1 x\n")
-        with pytest.raises(ValueError) as exc:
-            load_config_file(path)
-        assert str(exc.value) == f"{path}:2: c_fb expects a list of numbers, got '1 x'"
+    def test_config_file_bad_line(self, capsys):
+        # an item without "=" is refused by the one key=value parser
+        assert main(["fig4", "--set", "trials"]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: expected key=value, got 'trials'\n"
 
 
 class TestCli:
@@ -224,28 +247,46 @@ class TestCli:
         assert "T,d_theory" in capsys.readouterr().out
 
     def test_subcommands_are_the_scenarios(self, capsys):
-        [sub] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
-        assert tuple(sub.choices) == SCENARIOS
-        small = ["--trials", "64", "--set", "t_max=2", "--set", "c_fb=1", "--set", "r_max=1",
+        assert tuple(_subparsers().choices) == SCENARIOS
+        small = ["--set", "trials=64", "--set", "t_max=2", "--set", "c_fb=1", "--set", "r_max=1",
                  "--set", "lloyd_sessions=2", "--set", "lloyd_training=200"]
         for name in SCENARIOS:
             assert main([name, *small]) == EXIT_OK
             assert f"# scenario={name}\n" in capsys.readouterr().out
 
     def test_readme_cli_block_lists_the_scenarios(self):
-        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
-        block = readme.split("## CLI\n", 1)[1].split("```\n")[1]
+        block = README.split("## CLI\n", 1)[1].split("```\n")[1]
         commands = [" ".join(line.split()[:2]) for line in block.splitlines()]
         assert commands == [f"diffcsi {name}" for name in SCENARIOS]
 
-    def test_flag_overrides_config_file(self, tmp_path, capsys):
-        cfgfile = tmp_path / "c.cfg"
-        cfgfile.write_text("seed=1\nt_max=3\n")
-        rc = main(["fig2", "--config", str(cfgfile), "--seed", "42"])
-        assert rc == EXIT_OK
-        out = capsys.readouterr().out
-        assert "# seed=42" in out
-        assert "# t_max=3" in out
+    def test_readme_names_the_options(self):
+        # the first sentence of the paragraph that starts "Options:"
+        sentence = re.search(r"^Options: (.*?)\.\s", README, re.M | re.S).group(1)
+        options = {name: {s for a in parser._actions for s in a.option_strings} - {"-h", "--help"}
+                   for name, parser in _subparsers().choices.items()}
+        assert options == {name: set(re.findall(r"`(--[a-z]+)", sentence)) for name in SCENARIOS}
+
+    def test_readme_commands_parse(self):
+        blocks = README.split("```\n")[1::2]
+        commands = [shlex.split(line, comments=True)[1:] for block in blocks
+                    for line in block.splitlines() if line.startswith("diffcsi ")]
+        assert len(commands) > len(SCENARIOS)
+        for argv in commands:
+            cli._resolve_config(build_parser().parse_args(argv))
+
+    def test_later_set_wins(self, capsys):
+        assert main(["fig2", "--set", "t_max=5", "--set", "t_max=3"]) == EXIT_OK
+        assert "# t_max=3\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag", ["--config", "--seed", "--trials", "--workers"])
+    def test_removed_options_exit_2(self, flag, monkeypatch, capsys):
+        runs = []
+        monkeypatch.setattr(cli, "run_scenario", lambda cfg: runs.append(cfg) or "")
+        with pytest.raises(SystemExit) as exc:
+            main(["fig4", flag, "2"])
+        assert exc.value.code == EXIT_USAGE
+        assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
+        assert runs == []
 
     def test_usage_error_unknown_key(self, capsys):
         rc = main(["fig3", "--set", "bogus=1"])
@@ -263,20 +304,21 @@ class TestCli:
         assert "Traceback" not in err
         assert runs == [] and not out.parent.exists()
 
-    @pytest.mark.parametrize("argv", [["fig2", "--set", "t_max=100000000"],
-                                      ["fig5", "--set", "lloyd_training=100000000"]])
+    @pytest.mark.parametrize("argv", [
+        ["fig2", "--set", "t_max=100000000"],
+        ["fig5", "--set", "lloyd_training=100000000"],
+        ["fig4", "--set", "n_t=1000", "--set", "n_r=1000"],
+        ["fig5", "--set", "n_t=8", "--set", "n_r=8", "--set", "lloyd_training=6553600"],
+    ])
     def test_sizes_that_exhaust_memory_exit_2(self, argv, monkeypatch, capsys):
         # the scenario is stubbed, so a missing bound fails here without allocating
         runs = []
         monkeypatch.setattr(cli, "run_scenario", lambda cfg: runs.append(cfg) or "")
         assert main(argv) == EXIT_USAGE
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and argv[2].partition("=")[0] in err
+        assert err.startswith("error: ")
+        assert all(item.partition("=")[0] in err for item in argv[2::2]), err
         assert runs == []
-
-    def test_usage_error_missing_config(self, capsys):
-        rc = main(["fig3", "--config", "/nonexistent/file.cfg"])
-        assert rc == EXIT_USAGE
 
     def test_numerical_error_exit_code(self, capsys):
         # with a perfect estimator the distortion curve has no interior
@@ -295,14 +337,14 @@ class TestCli:
 
     def test_huge_feedback_rate_gives_zero_distortion(self, capsys):
         # 2^(C_fb T / 4) overflows a double: the distortion is then 0, not an error
-        rc = main(["fig4", "--set", "c_fb=5000", "--set", "t_max=2", "--trials", "2"])
+        rc = main(["fig4", "--set", "c_fb=5000", "--set", "t_max=2", "--set", "trials=2"])
         assert rc == EXIT_OK
         rows = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]
         assert len(rows) == 3 and all(math.isfinite(float(v)) for v in rows[2].split(","))
 
     def test_all_zero_water_filling_exits_3(self, capsys):
         # at -320 dB the weakest mode's 1 / (A^2 gamma^2) swamps the power budget
-        rc = main(["fig4", "--set", "snr_db=-320", "--set", "t_max=1", "--trials", "2"])
+        rc = main(["fig4", "--set", "snr_db=-320", "--set", "t_max=1", "--set", "trials=2"])
         assert rc == EXIT_NUMERICAL
         err = capsys.readouterr().err
         assert err == "numerical failure: water-filling batch hit an all-zero channel\n"
@@ -320,7 +362,7 @@ class TestCli:
         monkeypatch.setattr(harness, "ergodic_capacity",
                             lambda *a, **kw: runs.append(1) or ergodic(*a, **kw))
         assert main(["fig4", "--set", f"sigma_hhat2={sigma_hhat2}", "--set", "t_max=2",
-                     "--trials", "200"]) == rc
+                     "--set", "trials=200"]) == rc
         err = capsys.readouterr().err
         if rc == EXIT_OK:
             assert err == "" and runs
@@ -342,7 +384,7 @@ class TestCli:
         out.write_bytes(b"old\n")
         monkeypatch.setattr(harness, "ergodic_capacity",
                             lambda cfg, budget, ds, **kw: [(math.nan, 0.0)] * len(ds))
-        rc = main(["fig4", "--set", "t_max=1", "--trials", "2", "--out", str(out)])
+        rc = main(["fig4", "--set", "t_max=1", "--set", "trials=2", "--out", str(out)])
         assert rc == EXIT_NUMERICAL
         assert "C_erg_cfb0.5 is nan in the row T=1" in capsys.readouterr().err
         assert out.read_bytes() == b"old\n"
@@ -357,7 +399,7 @@ class TestCli:
         assert not new.exists()
 
     @pytest.mark.parametrize("argv", [
-        ["fig4", "--trials", "0"],
+        ["fig4", "--set", "trials=0"],
         ["fig4", "--set", "t_min=0"],
         ["fig4", "--set", "t_step=0"],
         ["fig4", "--set", "t_min=9", "--set", "t_max=3"],
@@ -368,7 +410,7 @@ class TestCli:
         ["fig4", "--set", "snr_db=nan"],
         ["fig3", "--set", "d_list=0.1 -1"],
         ["fig3", "--set", "pilot_fraction=5"],
-        ["fig4", "--trials", "1"],
+        ["fig4", "--set", "trials=1"],
         ["fig5", "--set", "lloyd_sessions=0"],
         ["fig5", "--set", "lloyd_sessions=1"],
         ["fig5", "--set", "r_max=0"],
@@ -376,8 +418,8 @@ class TestCli:
         ["fig5", "--set", "lloyd_training=0"],
         ["fig3", "--set", "d_list="],
         ["fig3", "--set", "sigma_e2_list="],
-        ["fig4", "--seed", "-5"],
-        ["fig4", "--workers", "0"],
+        ["fig4", "--set", "seed=-5"],
+        ["fig4", "--set", "workers=0"],
         ["fig5", "--set", "r_max=17"],
         ["fig2", "--set", "scenario=fig3"],
         ["fig2", "--set", "n_t=1.5"],
@@ -395,8 +437,7 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
         # the message names every key the command line sets
-        keys = [value.partition("=")[0] if flag == "--set" else flag[2:]
-                for flag, value in zip(argv[1::2], argv[2::2])]
+        keys = [item.partition("=")[0] for item in argv[2::2]]
         assert all(key in err for key in keys), (keys, err)
 
     @pytest.mark.parametrize("argv,expected", [
@@ -416,7 +457,7 @@ class TestCli:
     ])
     def test_more_transmit_than_receive_antennas(self, figure, extra, capsys):
         rc = main([figure, "--set", "n_t=3", "--set", "n_r=2",
-                   "--trials", "64", *extra])
+                   "--set", "trials=64", *extra])
         assert rc == EXIT_OK
         rows = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]
         values = [float(v) for row in rows[1:] for v in row.split(",")]
