@@ -331,7 +331,7 @@ def ergodic_capacity(
               for cid, start in enumerate(range(0, trials, CHUNK_TRIALS))]
 
     if workers > 1 and len(chunks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
             results = list(pool.map(_simulate_chunk, chunks))
     else:
         results = [_simulate_chunk(c) for c in chunks]

@@ -75,16 +75,18 @@ class ExperimentConfig:
         if self.sigma_h2 + max(self.sigma_e2_list) > MAX_SIGMA_HHAT2:  # fig3's sigma_hhat2
             raise ValueError(f"sigma_e2_list={self.sigma_e2_list} puts sigma_h2 + sigma_e2 "
                              f"above {MAX_SIGMA_HHAT2:g}")
-        # a standard error needs at least two samples
-        if self.trials < 2 or self.lloyd_sessions < 2:
-            raise ValueError(f"trials and lloyd_sessions must be >= 2, "
-                             f"got {self.trials}, {self.lloyd_sessions}")
+        # a standard error needs at least two samples; ergodic_capacity keeps a
+        # capacity per trial and C_fb value, which the entry cap bounds too
+        if not 2 <= self.trials <= _MAX_ENTRIES // len(self.c_fb) or self.lloyd_sessions < 2:
+            raise ValueError(f"trials must be in 2..{_MAX_ENTRIES // len(self.c_fb)} (at most "
+                             f"{_MAX_ENTRIES} capacities over {len(self.c_fb)} c_fb values) and "
+                             f"lloyd_sessions >= 2, got {self.trials}, {self.lloyd_sessions}")
         if not 1 <= self.r_max <= lloydfb.MAX_RATE_BITS:
             raise ValueError(f"r_max must be in 1..{lloydfb.MAX_RATE_BITS}, got {self.r_max}")
         if self.lloyd_training < 1:
             raise ValueError(f"lloyd_training must be >= 1, got {self.lloyd_training}")
-        if self.seed < 0 or self.workers < 1:
-            raise ValueError(f"seed must be >= 0 and workers >= 1, "
+        if self.seed < 0 or not 1 <= self.workers <= _MAX_WORKERS:
+            raise ValueError(f"seed must be >= 0 and workers in 1..{_MAX_WORKERS}, "
                              f"got {self.seed}, {self.workers}")
         if self.t_min < 1 or self.t_step < 1:
             raise ValueError(f"t_min and t_step must be >= 1, got {self.t_min}, {self.t_step}")
@@ -212,6 +214,7 @@ def _scenario_fig4(cfg: ExperimentConfig):
 # RSS measured 1.6 GB for that set (2.0 GB at 1x1), 0.46-1.24 GB for fig4
 # chunks of up to 64 antennas a side and 1.3-1.7 GB for fig5's session chunks.
 _MAX_ENTRIES = 100 * 2 ** lloydfb.MAX_RATE_BITS * 4
+_MAX_WORKERS = 64  # pool processes a run may fork, each holding a chunk of up to _MAX_ENTRIES
 
 # fig5's Lloyd training seeds start here, so the theory's seed + T (T = ceil(R / C_fb))
 # meets neither them nor the sessions' seed + 10007 R + s, as the config holds T < 10007.

@@ -119,8 +119,8 @@ def train_codebook(samples: np.ndarray, rate_bits: int, seed: int = 0) -> Codebo
     Alternates nearest-neighbor partition and centroid update (stopping rule:
     LLOYD_ITERATIONS, LLOYD_MIN_GAIN).  Empty cells are repaired by splitting
     the centroid of the highest-distortion cell.  Training stops at the first
-    iteration whose distortion is exactly 0.  A rise in distortion from one
-    iteration to the next raises ArithmeticError.
+    iteration whose distortion is exactly 0, and a rise in distortion raises
+    ArithmeticError; both hold to the rounding floor of the cell sums.
     """
     if rate_bits < 1:
         raise ValueError("rate_bits must be >= 1")
@@ -134,57 +134,54 @@ def train_codebook(samples: np.ndarray, rate_bits: int, seed: int = 0) -> Codebo
     n_r, n_t = samples.shape[1], samples.shape[2]
     flat = _flatten(samples)
     rows = _search_rows(flat)
-    dim = flat.shape[1]
+    n, dim = flat.shape
     rng = RngStream(seed, 0).generator()
 
-    # init from distinct random training samples
-    init_idx = rng.choice(len(samples), size=n_entries, replace=False)
-    centers = flat[init_idx].copy()
+    centers = flat[rng.choice(n, size=n_entries, replace=False)]  # distinct training samples
 
-    # The error pass and the centroid sums read the contiguous columns of
-    # `rows`, not the strided complex `flat`, with the same IEEE operations
-    # in the same order: each |s_k - c_k|^2 is re*re + im*im, and each
-    # coordinate is summed on its own, in sample order.
-    err2 = np.empty((len(flat), dim))
-    re, im = np.empty(len(flat)), np.empty(len(flat))
-    sums = np.empty((n_entries, 2 * dim))  # columns re0, im0, re1, ... view as complex
+    # The distortion comes from the cell counts n_j and sums S_j that the centroid
+    # step takes, not from each sample's error (Linde, Buzo & Gray 1980):
+    # sum |s - c|^2 = P + sum_j Re<n_j (c_j - m) - 2 (S_j - n_j m), c_j - m>, with
+    # P = sum |s - m|^2.  Centring on the mean m keeps the cancellation small; the
+    # rounding left stays far below `floor`, which no distortion is recorded under.
+    mean = rows[:, :-1].mean(axis=0)
+    m = (mean[:dim] + 1j * mean[dim:]).view(float)  # re0, im0, re1, ..., as `sums`
+    # off BLAS: a dot over 10^4 entries woke a second OpenBLAS thread, which spun on
+    centred = (rows[:, k] - mean[k] for k in range(2 * dim))
+    p = math.fsum(float(np.square(c, out=c).sum()) for c in centred)
+    floor = 1e-12 * (p / n + math.sqrt(p / n) * float(np.linalg.norm(mean)))
+    sums = np.empty((n_entries, 2 * dim))  # a bincount per contiguous search column
     history = []
     prev = math.inf
     for it in range(LLOYD_ITERATIONS):
         labels = _nearest(rows, centers)
-        c_re, c_im = centers.real.T.copy(), centers.imag.T.copy()
-        for k in range(dim):  # labels are in range: "clip" skips take's buffered check
-            np.subtract(rows[:, k], np.take(c_re[k], labels, out=re, mode="clip"), out=re)
-            np.subtract(rows[:, dim + k], np.take(c_im[k], labels, out=im, mode="clip"), out=im)
-            np.multiply(re, re, out=re)
-            np.multiply(im, im, out=im)
-            np.add(re, im, out=err2[:, k])
-        dist = float(np.mean(err2) * dim)  # per-sample squared error
-        history.append(dist)
-        if dist > prev * (1.0 + 1e-12):
-            raise ArithmeticError(
-                f"Lloyd distortion increased at iteration {it}: {prev} -> {dist}")
-        if dist == 0.0:  # every sample sits on a codeword; a repair would only add error
-            break
-        improved = prev - dist
         counts = np.bincount(labels, minlength=n_entries)
         for k in range(dim):
             sums[:, 2 * k] = np.bincount(labels, rows[:, k], n_entries)
             sums[:, 2 * k + 1] = np.bincount(labels, rows[:, dim + k], n_entries)
-        nonempty = counts > 0
-        centers[nonempty] = sums.view(complex)[nonempty] / counts[nonempty, None]
-        # empty-cell repair: split the worst cell's centroid
-        empty = np.flatnonzero(~nonempty)
-        if len(empty):
+        d, n_j = centers.view(float) - m, counts[:, None]
+        dist = max(floor, (p + float(np.sum((n_j * d - 2.0 * (sums - n_j * m)) * d))) / n)
+        empty = np.flatnonzero(counts == 0)
+        if len(empty):  # only the empty-cell repair reads each cell's error: take it directly
+            diff = flat - centers[labels]
+            err2 = diff.real ** 2 + diff.imag ** 2
             cell_dist = np.bincount(labels, np.sum(err2, axis=1), n_entries)
-            for i in empty:
-                worst = int(np.argmax(cell_dist))
-                jitter = 1e-3 * math.sqrt(max(cell_dist[worst], 1e-30) / max(counts[worst], 1))
-                centers[i] = centers[worst] + jitter * (
-                    rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-                )
-                cell_dist[worst] /= 2.0
-        if math.isfinite(prev) and improved < LLOYD_MIN_GAIN * max(dist, 1e-300):
+            dist = float(np.mean(err2) * dim)
+        history.append(dist)
+        if dist > prev + floor:
+            raise ArithmeticError(
+                f"Lloyd distortion increased at iteration {it}: {prev} -> {dist}")
+        if dist == 0.0:  # every sample sits on a codeword; a repair would only add error
+            break
+        np.divide(sums.view(complex), n_j, out=centers, where=n_j > 0)
+        for i in empty:  # split the worst cell's centroid
+            worst = int(np.argmax(cell_dist))
+            jitter = 1e-3 * math.sqrt(max(cell_dist[worst], 1e-30) / max(counts[worst], 1))
+            centers[i] = centers[worst] + jitter * (
+                rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+            )
+            cell_dist[worst] /= 2.0
+        if math.isfinite(prev) and prev - dist < LLOYD_MIN_GAIN * max(dist, 1e-300):
             break
         prev = dist
 

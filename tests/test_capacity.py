@@ -309,6 +309,31 @@ class TestErgodicCapacity:
         b = ergodic_capacity(cap_cfg, budget, [0.2], trials=4096, seed=3, workers=2)
         assert a == b
 
+    def test_pool_holds_no_more_workers_than_chunks(self, cap_cfg, monkeypatch):
+        # the stub pool maps in this process, so nothing is forked; a pool of
+        # max_workers=100000 would fork them all at its first submit
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, chunks):
+                return map(fn, chunks)
+
+        monkeypatch.setattr(capacity, "ProcessPoolExecutor", InlinePool)
+        budget = FeedbackBudget(c_fb=2.0, r_bits=6.0, t_blocks=3)
+        # three chunks: 2048 + 2048 + 4 trials
+        pooled = ergodic_capacity(cap_cfg, budget, [0.2], trials=4100, seed=3, workers=100000)
+        assert sizes == [3]
+        assert pooled == ergodic_capacity(cap_cfg, budget, [0.2], trials=4100, seed=3)
+
     def test_analytic_mode_runs(self, cap_cfg):
         budget = FeedbackBudget(c_fb=2.0, r_bits=6.0, t_blocks=3)
         [(m, s)] = ergodic_capacity(cap_cfg, budget, [0.2], trials=500, seed=5,

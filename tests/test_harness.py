@@ -172,6 +172,10 @@ class TestScenarios:
         ExperimentConfig(scenario="fig4", n_t=1, n_r=64, trials=1575)
         ExperimentConfig(scenario="fig5", n_t=64, n_r=64, r_max=1, lloyd_training=1,
                          lloyd_sessions=2133)
+        # the largest pool, and one capacity per trial and C_fb value up to the cap
+        ExperimentConfig(scenario="fig4", workers=harness._MAX_WORKERS)
+        ExperimentConfig(scenario="fig4", trials=harness._MAX_ENTRIES // 4)
+        ExperimentConfig(scenario="fig5", c_fb=[1.0], trials=harness._MAX_ENTRIES)
         # no antenna counts make a chunk fill the cap exactly, so move the cap:
         # 4 C_fb values x 100 trials of 2x2 rows (12 entries each)
         monkeypatch.setattr(harness, "_MAX_ENTRIES", 4 * 100 * 12)
@@ -197,6 +201,11 @@ class TestScenarios:
         (dict(n_t=8, n_r=8, lloyd_training=409601), "training set of .* = 409601 samples"),
         (dict(n_t=8, n_r=8, r_max=13), "training set of .* = 819200 samples"),
         (dict(n_t=4, n_r=4, r_max=16), "training set"),
+        # 4 C_fb values x 10^12 trials of per-trial capacities, about 32 TB
+        (dict(scenario="fig4", trials=10**12), r"trials must be in 2\.\.6553600 "),
+        (dict(scenario="fig4", trials=100 * 2 ** 16 + 1), r"trials must be in 2\.\.6553600 "),
+        (dict(c_fb=[1.0], trials=100 * 2 ** 18 + 1), r"trials must be in 2\.\.26214400 "),
+        (dict(workers=65), r"workers in 1\.\.64"),
     ])
     def test_sizes_that_exhaust_memory_rejected(self, overrides, match):
         with pytest.raises(ValueError, match=match):
@@ -309,6 +318,10 @@ class TestCli:
         ["fig5", "--set", "lloyd_training=100000000"],
         ["fig4", "--set", "n_t=1000", "--set", "n_r=1000"],
         ["fig5", "--set", "n_t=8", "--set", "n_r=8", "--set", "lloyd_training=6553600"],
+        ["fig4", "--set", "trials=1000000000000"],
+        # a pool forks all its workers at its first submit
+        ["fig4", "--set", "workers=100000"],
+        ["fig4", "--set", "workers=65"],
     ])
     def test_sizes_that_exhaust_memory_exit_2(self, argv, monkeypatch, capsys):
         # the scenario is stubbed, so a missing bound fails here without allocating

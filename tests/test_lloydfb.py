@@ -1,5 +1,6 @@
 import math
 import threading
+import tracemalloc
 from types import SimpleNamespace
 from unittest import mock
 
@@ -76,6 +77,18 @@ class RepairSpy:
         return self.draws // 2
 
 
+def assert_matches_oracle(cb, entries, meta):
+    """The oracle's entries bitwise and its counts exactly; the distortion,
+    taken from the cell sums rather than from each sample's error, to 1e-12."""
+    assert np.array_equal(cb.entries, entries)
+    got = cb.training_meta
+    assert [got[k] for k in ("iterations", "training_size", "seed")] == \
+        [meta[k] for k in ("iterations", "training_size", "seed")]
+    np.testing.assert_allclose(got["distortion_history"], meta["distortion_history"],
+                               rtol=1e-12, atol=0)
+    assert got["final_distortion"] == got["distortion_history"][-1]
+
+
 class TestTrainCodebook:
     def test_entry_count(self, training_samples):
         cb = train_codebook(training_samples, rate_bits=3, seed=1)
@@ -105,8 +118,7 @@ class TestTrainCodebook:
         for n in (edge - 1, edge + 1):
             cb = train_codebook(draw[:n], rate_bits, seed=rate_bits)
             entries, meta = lloyd_unblocked(draw[:n], rate_bits, seed=rate_bits)
-            assert np.array_equal(cb.entries, entries)
-            assert cb.training_meta == meta
+            assert_matches_oracle(cb, entries, meta)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_empty_cell_repair_equals_unblocked_loop(self, seed, monkeypatch):
@@ -118,8 +130,7 @@ class TestTrainCodebook:
         cb = train_codebook(samples, 8, seed=seed)
         assert spy.repairs > 0
         entries, meta = lloyd_unblocked(samples, 8, seed=seed)
-        assert np.array_equal(cb.entries, entries)
-        assert cb.training_meta == meta
+        assert_matches_oracle(cb, entries, meta)
 
     @given(rate_bits=st.integers(min_value=1, max_value=4),
            extra=st.integers(min_value=1, max_value=24),
@@ -142,8 +153,7 @@ class TestTrainCodebook:
             assert lloydfb._block_rows(2 ** rate_bits, 9) == block
             cb = train_codebook(samples, rate_bits, seed=seed)
         entries, meta = lloyd_unblocked(samples, rate_bits, seed=seed)
-        assert np.array_equal(cb.entries, entries)
-        assert cb.training_meta == meta
+        assert_matches_oracle(cb, entries, meta)
 
     @pytest.mark.parametrize("n_distinct,copies,rate_bits", [(64, 5, 8), (6, 3, 3)])
     @pytest.mark.parametrize("seed", range(3))
@@ -157,6 +167,87 @@ class TestTrainCodebook:
         assert 0.0 not in hist[:-1]
         if hist[-1] == 0.0:
             assert np.array_equal(quantize(samples, cb)[1], samples)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_floor_with_every_cell_occupied(self, seed):
+        # as many distinct samples as codewords: the distortion reaches its floor
+        # with no cell empty, so it is never taken directly.  Read from the cell
+        # sums alone it came out as exactly 0.0 at three of these seeds, with the
+        # samples an ulp off their codewords, one iteration before the oracle.
+        draw = sample_cn((8, 2, 2), 1.0, RngStream(70, 0).generator())
+        samples = np.concatenate([draw] * 3)
+        cb = train_codebook(samples, 3, seed=seed)
+        entries, meta = lloyd_unblocked(samples, 3, seed=seed)
+        hist = cb.training_meta["distortion_history"]
+        assert 0.0 not in hist and hist[-1] == hist[-2]
+        assert np.array_equal(cb.entries, entries)
+        assert cb.training_meta["iterations"] == meta["iterations"]
+
+    def test_rise_within_rounding_does_not_raise(self):
+        # 30 distinct samples, each three times, for 32 codewords: the last
+        # iteration rose from 8.76977e-33 to 8.76978e-33, rounding in the
+        # centroids of repeated samples.  A check at 1e-12 of the last value
+        # raised; the check allows a rise up to the floor.
+        draw = sample_cn((30, 2, 2), 1.0, RngStream(76, 0).generator())
+        cb = train_codebook(np.concatenate([draw] * 3), 5, seed=0)
+        hist = cb.training_meta["distortion_history"]
+        assert hist[-2] < hist[-1] < 1e-30
+
+    @given(n_r=st.integers(min_value=1, max_value=3),
+           n_t=st.integers(min_value=1, max_value=3),
+           rate_bits=st.integers(min_value=1, max_value=4),
+           extra=st.integers(min_value=0, max_value=200),
+           log_scale=st.floats(min_value=-3, max_value=3),
+           offset=st.floats(min_value=-1e3, max_value=1e3),
+           seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    @example(n_r=2, n_t=2, rate_bits=3, extra=0, log_scale=0.0, offset=0.0, seed=0)
+    def test_cell_sum_distortion_equals_direct(self, n_r, n_t, rate_bits, extra, log_scale,
+                                               offset, seed):
+        # Each distortion the training records comes from its cell sums; the
+        # oracle takes sum |s - c|^2 / N from each sample's error.  With P the
+        # spread sum |s - m|^2 about the mean m, the cell sums round at about
+        # eps (P / N + |m| sqrt(P / N)) per sample; the floor is 1e-12 of that,
+        # and a distortion below it reads as the floor.  So no entry may differ
+        # from the oracle's by more than the floor, plus rounding far below it.
+        rng = np.random.default_rng(seed)
+        samples = 10.0 ** log_scale * (
+            sample_cn((2 ** rate_bits + extra, n_r, n_t), 1.0, rng) + offset)
+        cb = train_codebook(samples, rate_bits, seed=seed)
+        entries, meta = lloyd_unblocked(samples, rate_bits, seed=seed)
+        assert np.array_equal(cb.entries, entries)
+        assert cb.training_meta["iterations"] == meta["iterations"]
+        flat = samples.reshape(len(samples), -1)
+        m = flat.mean(axis=0)
+        p = float(np.sum(np.abs(flat - m) ** 2))
+        spread = p / len(flat)
+        floor = 1e-12 * (spread + math.sqrt(spread) * float(np.linalg.norm(m)))
+        gap = np.abs(np.subtract(cb.training_meta["distortion_history"],
+                                 meta["distortion_history"])) * (n_r * n_t)
+        assert np.all(gap <= 1.01 * floor), (gap.max(), floor)
+
+    def test_offset_training_set_equals_unblocked_loop(self):
+        # 1e5 off the origin; cell sums not centred on the training mean
+        # stopped this one 12 iterations in, against the oracle's 11
+        samples = 1e5 + sample_cn((200, 2, 2), 1.0, RngStream(3, 0).generator())
+        cb = train_codebook(samples, 1, seed=3)
+        entries, meta = lloyd_unblocked(samples, 1, seed=3)
+        assert np.array_equal(cb.entries, entries)
+        assert cb.training_meta["iterations"] == meta["iterations"]
+
+    def test_peak_memory_of_largest_fig5_training(self):
+        # R = 8 on 25,600 samples, fig5's largest training.  Taking each
+        # sample's error every iteration peaked at 3.79 MB on this training;
+        # the cell sums hold no per-sample buffer beyond the search rows and
+        # labels.
+        samples = sample_cn((25600, 2, 2), 1.0, RngStream(3, 0).generator())
+        tracemalloc.start()
+        try:
+            train_codebook(samples, 8, seed=8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.62e6, peak
 
     def test_converse_bound_on_held_out(self, params, budget, codebook):
         held_out = open_loop_training_samples(params, budget, 20000, RngStream(62, 0))
