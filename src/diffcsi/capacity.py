@@ -15,6 +15,7 @@ one draw, and chunked so results are independent of worker count.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -291,6 +292,18 @@ def _simulate_chunk(args):
         return total / n_blocks
 
 
+@contextlib.contextmanager
+def _pool_map(workers: int, n_jobs: int):
+    """The map for n_jobs pure jobs: a pool's, of min(workers, n_jobs) forked
+    processes joined on exit, or the builtin map for one worker or job.  Every
+    pool is built here; no _Prefetch thread outlives its block to be forked."""
+    if workers > 1 and n_jobs > 1:
+        with ProcessPoolExecutor(max_workers=min(workers, n_jobs)) as pool:
+            yield pool.map
+    else:
+        yield map
+
+
 def ergodic_capacity(
     cfg: CapacityConfig,
     budget: FeedbackBudget,
@@ -299,7 +312,7 @@ def ergodic_capacity(
     seed: int,
     periods: int = 1,
     mode: str = "simulate",
-    workers: int = 1,
+    map=map,
 ) -> list[tuple[float, float]]:
     """Monte Carlo mean and standard error of the per-block capacity, one
     (mean, stderr) per entry of the sequence `distortions`.
@@ -313,7 +326,7 @@ def ergodic_capacity(
     Every distortion sees the same channels, estimates and test-channel
     normals: a chunk draws them once, and only the error's scale sqrt(d / 2)
     differs, so each entry equals a call with that distortion alone.
-    Deterministic for fixed (seed, trials) regardless of worker count:
+    Deterministic for fixed (seed, trials) whatever `map` runs the chunks:
     trials are split into fixed-size chunks, each with its own substream.
     """
     ds = np.asarray(distortions, dtype=float)
@@ -329,15 +342,8 @@ def ergodic_capacity(
         raise ValueError(f"unknown mode {mode!r}")
     chunks = [(cfg, budget, ds, min(CHUNK_TRIALS, trials - start), seed, cid, periods, mode)
               for cid, start in enumerate(range(0, trials, CHUNK_TRIALS))]
-
-    if workers > 1 and len(chunks) > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
-            results = list(pool.map(_simulate_chunk, chunks))
-    else:
-        results = [_simulate_chunk(c) for c in chunks]
-
     out = []
-    for per_trial in np.concatenate(results, axis=1):
+    for per_trial in np.concatenate(list(map(_simulate_chunk, chunks)), axis=1):
         mean = float(math.fsum(per_trial) / trials)
         var = math.fsum((per_trial - mean) ** 2) / (trials - 1)
         out.append((mean, math.sqrt(var / trials)))

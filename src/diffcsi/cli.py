@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 usage error, 3 numerical/solver failure.
+Exit codes: 0 success, 2 usage error, 3 numerical/solver failure or a
+pool worker that died (BrokenProcessPool, e.g. killed for memory).
 """
 
 from __future__ import annotations
@@ -8,6 +9,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from concurrent.futures.process import BrokenProcessPool
 
 from .harness import (
     SCENARIOS,
@@ -75,6 +77,9 @@ def main(argv=None) -> int:
         csv_text = run_scenario(cfg)
     except (SolverError, FloatingPointError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except BrokenProcessPool as exc:
+        print(f"worker failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     # written only once the run succeeded, so a failed run leaves --out untouched
     if args.out:

@@ -9,12 +9,13 @@ byte from its own metadata.
 import dataclasses
 import io
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import lloydfb
-from .capacity import CHUNK_TRIALS, MAX_SIGMA_HHAT2, CapacityConfig, ergodic_capacity
+from .capacity import CHUNK_TRIALS, MAX_SIGMA_HHAT2, CapacityConfig, _pool_map, ergodic_capacity
 from .channel import ChannelParams, autocorrelation
 from .ratedist import (
     FeedbackBudget,
@@ -55,7 +56,7 @@ class ExperimentConfig:
     lloyd_sessions: int = 50
     lloyd_training: int = 20000
     seed: int = 12345
-    workers: int = 1
+    workers: int = field(default_factory=lambda: min(len(os.sched_getaffinity(0)), _MAX_WORKERS))
 
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
@@ -198,13 +199,16 @@ def _scenario_fig4(cfg: ExperimentConfig):
     ts = _t_sweep(cfg)
     ds_by_t = distortion_from_rate(params, autocorrelation(params, ts)[:, None],
                                    np.outer(ts, cfg.c_fb))
+    def pool_per_point(fn, chunks):  # each T point's call builds and joins its own pool
+        with _pool_map(cfg.workers, len(chunks)) as map_chunks:
+            return list(map_chunks(fn, chunks))
     rows = []
     for t, ds in zip(ts, ds_by_t):
         # one call per T: every C_fb shares its channel draws; the Monte
         # Carlo reads only the interval from the budget
         budget = FeedbackBudget(c_fb=cfg.c_fb[0], r_bits=cfg.c_fb[0] * t, t_blocks=t)
         points = ergodic_capacity(ccfg, budget, ds, trials=cfg.trials, seed=cfg.seed + t,
-                                  workers=cfg.workers)
+                                  map=pool_per_point)
         rows.append([t] + [v for point in points for v in point])
     return header, rows
 
@@ -214,7 +218,9 @@ def _scenario_fig4(cfg: ExperimentConfig):
 # RSS measured 1.6 GB for that set (2.0 GB at 1x1), 0.46-1.24 GB for fig4
 # chunks of up to 64 antennas a side and 1.3-1.7 GB for fig5's session chunks.
 _MAX_ENTRIES = 100 * 2 ** lloydfb.MAX_RATE_BITS * 4
-_MAX_WORKERS = 64  # pool processes a run may fork, each holding a chunk of up to _MAX_ENTRIES
+# pool processes a run may fork, and the cap on the default (this process's CPUs);
+# each holds a Monte Carlo chunk of up to _MAX_ENTRIES or one fig5 rate's training set
+_MAX_WORKERS = 64
 
 # fig5's Lloyd training seeds start here, so the theory's seed + T (T = ceil(R / C_fb))
 # meets neither them nor the sessions' seed + 10007 R + s, as the config holds T < 10007.
@@ -222,33 +228,35 @@ _LLOYD_TRAINING_SEED = 500_000
 _SESSION_SEEDS = 10007
 
 
+def _fig5_rate(cfg: ExperimentConfig, r_bits: int, d: float) -> list:
+    """fig5's row at R = r_bits, with d its rate-distortion bound: the theory
+    point, the Lloyd training and the sessions.  A pure function of its
+    arguments, so it runs as a pool job."""
+    ccfg = cfg.capacity_config
+    budget = FeedbackBudget.from_rate(r_bits, cfg.c_fb[0])
+    t = budget.t_blocks
+    [(c_theory, _)] = ergodic_capacity(ccfg, budget, [d], trials=cfg.trials, seed=cfg.seed + t)
+    cb = lloydfb.bootstrap_codebook(
+        ccfg, budget, n_samples=max(cfg.lloyd_training, 100 * 2 ** r_bits),
+        seed=cfg.seed + _LLOYD_TRAINING_SEED + 7 * r_bits,
+    )
+    seeds = [cfg.seed + _SESSION_SEEDS * r_bits + s for s in range(cfg.lloyd_sessions)]
+    per_block = lloydfb.run_feedback_session(ccfg, budget, cb, n_blocks=12 * t, seeds=seeds)
+    # drop two warm-up periods; a contiguous row per session keeps np.mean's sum order
+    caps = np.ascontiguousarray(per_block[2 * t:].T).mean(axis=1)
+    stderr = float(np.std(caps, ddof=1) / math.sqrt(len(caps)))
+    return [t, c_theory, float(np.mean(caps)), stderr]
+
+
 def _scenario_fig5(cfg: ExperimentConfig):
     params = cfg.params
-    ccfg = cfg.capacity_config
-    c_fb = cfg.c_fb[0]
-    header = ["T", "C_theory", "C_lloyd", "stderr"]
     rates = range(1, cfg.r_max + 1)
-    budgets = [FeedbackBudget.from_rate(r_bits, c_fb) for r_bits in rates]
-    ts = [budget.t_blocks for budget in budgets]
+    ts = [FeedbackBudget.from_rate(r_bits, cfg.c_fb[0]).t_blocks for r_bits in rates]
     ds = distortion_from_rate(params, autocorrelation(params, ts), rates).tolist()
-    rows = []
-    for r_bits, budget, t, d in zip(rates, budgets, ts, ds):
-        [(c_theory, _)] = ergodic_capacity(
-            ccfg, budget, [d], trials=cfg.trials, seed=cfg.seed + t,
-            workers=cfg.workers,
-        )
-        cb = lloydfb.bootstrap_codebook(
-            ccfg, budget, n_samples=max(cfg.lloyd_training, 100 * 2 ** r_bits),
-            seed=cfg.seed + _LLOYD_TRAINING_SEED + 7 * r_bits,
-        )
-        seeds = [cfg.seed + _SESSION_SEEDS * r_bits + s for s in range(cfg.lloyd_sessions)]
-        per_block = lloydfb.run_feedback_session(ccfg, budget, cb, n_blocks=12 * t, seeds=seeds)
-        # drop two warm-up periods; a contiguous row per session keeps np.mean's sum order
-        caps = np.ascontiguousarray(per_block[2 * t:].T).mean(axis=1)
-        c_lloyd = float(np.mean(caps))
-        stderr = float(np.std(caps, ddof=1) / math.sqrt(len(caps)))
-        rows.append([t, c_theory, c_lloyd, stderr])
-    return header, rows
+    # one job per rate, the largest (longest) first; the rows come back in R order
+    with _pool_map(cfg.workers, len(rates)) as map_rates:
+        rows = list(map_rates(_fig5_rate, [cfg] * len(ds), rates[::-1], ds[::-1]))[::-1]
+    return ["T", "C_theory", "C_lloyd", "stderr"], rows
 
 
 def _scenario_optimal_interval(cfg: ExperimentConfig):

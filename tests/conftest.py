@@ -3,7 +3,7 @@ import threading
 import numpy as np
 import pytest
 
-from diffcsi import lloydfb
+from diffcsi import capacity, lloydfb
 from diffcsi.capacity import CapacityConfig
 from diffcsi.channel import ChannelParams
 
@@ -60,3 +60,27 @@ def diverging_lloyd(monkeypatch):
         return labels if len(calls) == 1 else (labels + 1) % len(centers)
 
     monkeypatch.setattr(lloydfb, "_nearest", bad_nearest)
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Stub capacity.ProcessPoolExecutor with a pool that maps in this
+    process, so nothing is forked.  Returns the max_workers of each pool
+    built, in order."""
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(capacity, "ProcessPoolExecutor", InlinePool)
+    return sizes

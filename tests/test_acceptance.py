@@ -272,7 +272,7 @@ def test_12_determinism():
     for scenario, extra in (
         ("fig4", dict(t_min=2, t_max=6, t_step=2, c_fb=[1.0, 2.0], trials=3000)),
         ("fig2", dict(t_max=10)),
-        # more trials than one chunk, so workers > 1 run the pool
+        # at workers > 1 fig5's rates run as pool jobs whatever the trial count
         ("fig5", dict(r_max=2, c_fb=[1.0], trials=2100, lloyd_sessions=2,
                       lloyd_training=400)),
     ):

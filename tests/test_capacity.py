@@ -304,35 +304,28 @@ class TestErgodicCapacity:
 
     def test_worker_count_invariance(self, cap_cfg):
         budget = FeedbackBudget(c_fb=2.0, r_bits=6.0, t_blocks=3)
-        # trials > chunk size so multiple chunks exist
-        a = ergodic_capacity(cap_cfg, budget, [0.2], trials=4096, seed=3, workers=1)
-        b = ergodic_capacity(cap_cfg, budget, [0.2], trials=4096, seed=3, workers=2)
+        # trials > chunk size so multiple chunks exist; the chunks run on the
+        # builtin map, then on a 2-process pool's
+        a = ergodic_capacity(cap_cfg, budget, [0.2], trials=4096, seed=3)
+        with capacity._pool_map(2, 2) as pool_map:
+            b = ergodic_capacity(cap_cfg, budget, [0.2], trials=4096, seed=3, map=pool_map)
         assert a == b
 
-    def test_pool_holds_no_more_workers_than_chunks(self, cap_cfg, monkeypatch):
+    def test_pool_holds_no_more_workers_than_chunks(self, cap_cfg, inline_pool):
         # the stub pool maps in this process, so nothing is forked; a pool of
         # max_workers=100000 would fork them all at its first submit
-        sizes = []
-
-        class InlinePool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, chunks):
-                return map(fn, chunks)
-
-        monkeypatch.setattr(capacity, "ProcessPoolExecutor", InlinePool)
         budget = FeedbackBudget(c_fb=2.0, r_bits=6.0, t_blocks=3)
-        # three chunks: 2048 + 2048 + 4 trials
-        pooled = ergodic_capacity(cap_cfg, budget, [0.2], trials=4100, seed=3, workers=100000)
-        assert sizes == [3]
+        chunks = math.ceil(4100 / capacity.CHUNK_TRIALS)  # 2048 + 2048 + 4 trials
+        with capacity._pool_map(100000, chunks) as pool_map:
+            pooled = ergodic_capacity(cap_cfg, budget, [0.2], trials=4100, seed=3, map=pool_map)
+        assert inline_pool == [3]
         assert pooled == ergodic_capacity(cap_cfg, budget, [0.2], trials=4100, seed=3)
+
+    @pytest.mark.parametrize("workers,n_jobs", [(1, 5), (4, 1), (1, 1)])
+    def test_one_worker_or_job_builds_no_pool(self, inline_pool, workers, n_jobs):
+        with capacity._pool_map(workers, n_jobs) as pool_map:
+            assert pool_map is map
+        assert inline_pool == []
 
     def test_analytic_mode_runs(self, cap_cfg):
         budget = FeedbackBudget(c_fb=2.0, r_bits=6.0, t_blocks=3)
@@ -352,12 +345,14 @@ class TestErgodicCapacity:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_distortions_match_single_calls(self, cap_cfg, mode, workers):
         # two chunks (2048 + 52 trials); each distortion of one call is the
-        # call with that distortion alone, bit for bit
+        # call with that distortion alone, bit for bit, on the builtin map
+        # (workers=1) or on one 2-process pool's for every call
         budget = FeedbackBudget(c_fb=1.0, r_bits=3.0, t_blocks=3)
         ds = [0.05, 0.2, 0.6, 1.3]
-        kw = dict(trials=2100, seed=17, periods=2, mode=mode, workers=workers)
-        joint = ergodic_capacity(cap_cfg, budget, ds, **kw)
-        assert joint == [ergodic_capacity(cap_cfg, budget, [d], **kw)[0] for d in ds]
+        with capacity._pool_map(workers, 2) as pool_map:
+            kw = dict(trials=2100, seed=17, periods=2, mode=mode, map=pool_map)
+            joint = ergodic_capacity(cap_cfg, budget, ds, **kw)
+            assert joint == [ergodic_capacity(cap_cfg, budget, [d], **kw)[0] for d in ds]
 
     @pytest.mark.parametrize("mode", ["simulate", "analytic"])
     def test_zero_distortion_feeds_back_the_estimate(self, cap_cfg, monkeypatch, mode):

@@ -1,6 +1,8 @@
 import argparse
 import dataclasses
 import math
+import multiprocessing
+import os
 import re
 import shlex
 from pathlib import Path
@@ -127,7 +129,9 @@ class TestScenarios:
     ], ids=["two-chunks", "default-c_fb"])
     def test_fig5_theory_and_lloyd_substreams_disjoint(self, overrides, monkeypatch):
         # fig5's theory curve (capacity) and its Lloyd training and sessions
-        # (lloydfb) must not draw from the same (master_seed, stream_id)
+        # (lloydfb) must not draw from the same (master_seed, stream_id).  The
+        # recording sees this process only, so workers=1 keeps every draw here;
+        # test_12 shows the bytes do not depend on workers
         built = {}
         for module in (capacity, lloydfb):
             pairs = built[module.__name__] = set()
@@ -137,7 +141,7 @@ class TestScenarios:
                 return _cls(master_seed, stream_id)
 
             monkeypatch.setattr(module, "RngStream", recording)
-        run_scenario(ExperimentConfig(scenario="fig5", lloyd_sessions=2, **overrides))
+        run_scenario(ExperimentConfig(scenario="fig5", lloyd_sessions=2, workers=1, **overrides))
         theory, lloyd = built["diffcsi.capacity"], built["diffcsi.lloydfb"]
         assert theory and lloyd and not theory & lloyd, sorted(theory & lloyd)
 
@@ -220,6 +224,78 @@ class TestScenarios:
     def test_unknown_scenario_rejected(self):
         with pytest.raises(ValueError):
             ExperimentConfig(scenario="fig99")
+
+
+class TestPool:
+    # fig4 at 3 T points of 3 chunks each (2048 + 2048 + 4 trials)
+    FIG4 = dict(scenario="fig4", t_min=1, t_max=3, c_fb=[1.0], trials=4100, seed=9)
+    # fig5 at 3 rates, with a theory point of two chunks in each
+    FIG5 = dict(scenario="fig5", r_max=3, c_fb=[1.0], trials=2100, lloyd_sessions=2,
+                lloyd_training=200, seed=9)
+
+    def test_fig4_builds_one_pool_per_point_of_at_most_workers(self, inline_pool):
+        pooled = run_scenario(ExperimentConfig(**self.FIG4, workers=2))
+        assert inline_pool == [2, 2, 2]
+        assert pooled == run_scenario(ExperimentConfig(**self.FIG4, workers=1))
+
+    def test_fig5_builds_one_pool_of_at_most_the_rates(self, inline_pool):
+        # the rates' theory points map their chunks in the job, on no pool of their own
+        pooled = run_scenario(ExperimentConfig(**self.FIG5, workers=8))
+        assert inline_pool == [3]
+        assert pooled == run_scenario(ExperimentConfig(**self.FIG5, workers=1))
+
+    def test_one_worker_builds_no_pool(self, inline_pool):
+        run_scenario(ExperimentConfig(**self.FIG4, workers=1))
+        run_scenario(ExperimentConfig(**self.FIG5, workers=1))
+        assert inline_pool == []
+
+    def test_no_worker_outlives_the_run(self):
+        cfg = ExperimentConfig(**{**self.FIG5, "r_max": 2, "trials": 4}, workers=2)
+        run_scenario(cfg)
+        assert multiprocessing.active_children() == []
+
+    def test_fig5_rows_come_back_in_rate_order(self, monkeypatch):
+        # the jobs go largest rate first, in the pool and on the builtin map
+        sent = []
+        fig5_rate = harness._fig5_rate
+        monkeypatch.setattr(harness, "_fig5_rate",
+                            lambda cfg, r_bits, d: sent.append(r_bits) or fig5_rate(cfg, r_bits, d))
+        csv = run_scenario(ExperimentConfig(**{**self.FIG5, "trials": 4}, workers=1))
+        assert sent == [3, 2, 1]
+        rows = [line for line in csv.splitlines() if not line.startswith("#")][1:]
+        assert [row.split(",")[0] for row in rows] == ["1", "2", "3"]
+
+    def test_default_workers_are_the_usable_cpus_up_to_the_cap(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(200)))
+        cfg = ExperimentConfig(scenario="fig2", t_max=3)
+        assert cfg.workers == harness._MAX_WORKERS == 64
+        comments = [line for line in run_scenario(cfg).splitlines() if line.startswith("#")]
+        assert comments and not any("workers" in line for line in comments)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3})
+        assert ExperimentConfig(scenario="fig2").workers == 1
+
+    @pytest.mark.parametrize("failure", ["raise", "die"])
+    def test_failed_rate_job_exits_3_on_one_line(self, failure, monkeypatch, capsys):
+        parent = os.getpid()
+        bootstrap = lloydfb.bootstrap_codebook
+
+        def failing(ccfg, budget, **kw):
+            if budget.r_bits == 2:
+                if failure == "raise":
+                    raise ArithmeticError("rate job failed")
+                if os.getpid() != parent:  # kill the pool worker, never this process
+                    os._exit(1)
+            return bootstrap(ccfg, budget, **kw)
+
+        monkeypatch.setattr(lloydfb, "bootstrap_codebook", failing)
+        rc = main(["fig5", "--set", "r_max=2", "--set", "trials=4", "--set", "lloyd_sessions=2",
+                   "--set", "lloyd_training=200", "--set", "workers=2"])
+        assert rc == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith("numerical failure: rate job failed" if failure == "raise" else
+                              "worker failure: A process in the process pool was terminated")
+        assert multiprocessing.active_children() == []
 
 
 class TestConfigParsing:
