@@ -29,7 +29,6 @@ from .ratedist import FeedbackBudget
 __all__ = [
     "CapacityConfig",
     "waterfill_batch",
-    "feedback_loop",
     "ergodic_capacity",
 ]
 
@@ -194,9 +193,10 @@ def _closed_capacity_2x2(h_hat: np.ndarray, p: np.ndarray, cfg: CapacityConfig) 
     return cfg.overhead / math.log(2.0) * np.log1p((c * tr + (1.0 + 2.0 * q) * det) / den)
 
 
-def feedback_loop(cfg: CapacityConfig, t: int, n_blocks: int, discard: int, quantize,
-                  h: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Periodic causal feedback over a batch of channels h (B, nr, nt).
+def _feedback_loop(cfg: CapacityConfig, t: int, n_blocks: int, discard: int, quantize,
+                   rows: int, rng):
+    """Periodic causal feedback over `rows` stationary CN(0, sigma_h2)
+    channels (rows, nr, nt), which it draws first from rng.
 
     At every T-th block (an epoch) the receiver's estimate H_hat and the
     shared reconstruction H_bar pass through quantize(h_hat, h_bar), which
@@ -204,10 +204,10 @@ def feedback_loop(cfg: CapacityConfig, t: int, n_blocks: int, discard: int, quan
     from the previous epoch's H_bar, so the CSI in use at an epoch is one
     interval old (the delayed-distortion closed form); the cold-start
     period uses its own epoch's feedback.  The channel moves only through
-    channel.estimate and channel.advance.  Returns the per-block
-    capacities (n_blocks - discard, ..., B) of the blocks after the first
-    `discard`; a quantizer may add leading axes to H_bar, which the
-    capacities keep.
+    channel.estimate and channel.advance.  Yields the capacities (..., rows)
+    of each block after the first `discard` (0 <= discard < n_blocks, as
+    callers take them from a FeedbackBudget), for the caller to sum or
+    stack; a quantizer may add leading axes to H_bar, which they keep.
 
     Only blocks something reads are visited: the epochs and the counted
     blocks.  Between two visited blocks k apart the channel takes one exact
@@ -216,20 +216,9 @@ def feedback_loop(cfg: CapacityConfig, t: int, n_blocks: int, discard: int, quan
     epoch's H_bar forms no precoder unless its own period is the first, as
     no later block reads it.
     """
-    if t < 1:
-        raise ValueError(f"t must be >= 1, got {t}")
-    if discard < 0:
-        raise ValueError(f"discard must be >= 0, got {discard}")
-    if n_blocks <= discard:
-        raise ValueError(f"n_blocks ({n_blocks}) must exceed discard ({discard})")
-    return np.stack(list(_feedback_blocks(cfg, t, n_blocks, discard, quantize, h, rng)))
-
-
-def _feedback_blocks(cfg, t, n_blocks, discard, quantize, h, rng):
-    """feedback_loop's blocks one at a time: yields each counted block's
-    capacities, so a caller that only averages them need not hold them all."""
     p = cfg.params
     alpha = autocorrelation(p, 1.0)
+    h = sample_cn((rows, p.n_r, p.n_t), p.sigma_h2, rng)
     h_bar = np.zeros_like(h)
     prec = held = None
     last = 0
@@ -271,8 +260,8 @@ def _simulate_chunk(args):
 
         if mode == "simulate":
             # the Gaussian test channel; the cold-start period is excluded
-            h = sample_cn(shape, p.sigma_h2, rng)
-            blocks = _feedback_blocks(cfg, t, (periods + 1) * t, t, gaussian_quantizer, h, rng)
+            blocks = _feedback_loop(cfg, t, (periods + 1) * t, t, gaussian_quantizer,
+                                    n_trials, rng)
             n_blocks = periods * t
         else:
             # independent per-block snapshots with the effective distortion d
@@ -286,10 +275,7 @@ def _simulate_chunk(args):
             n_blocks = periods
         # a running sum in block order, as np.stack(blocks).mean(axis=0) sums a
         # chunk of more than one trial, without holding every block's capacities
-        total = next(blocks)
-        for caps in blocks:
-            total += caps
-        return total / n_blocks
+        return sum(blocks) / n_blocks
 
 
 @contextlib.contextmanager

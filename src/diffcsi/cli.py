@@ -17,7 +17,6 @@ from .harness import (
     parse_config_item,
     run_scenario,
 )
-from .ratedist import SolverError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -75,7 +74,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         csv_text = run_scenario(cfg)
-    except (SolverError, FloatingPointError, ArithmeticError) as exc:
+    except ArithmeticError as exc:  # SolverError, RateDistortionError, FloatingPointError
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except BrokenProcessPool as exc:

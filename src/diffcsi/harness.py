@@ -56,7 +56,9 @@ class ExperimentConfig:
     lloyd_sessions: int = 50
     lloyd_training: int = 20000
     seed: int = 12345
-    workers: int = field(default_factory=lambda: min(len(os.sched_getaffinity(0)), _MAX_WORKERS))
+    workers: int = field(default_factory=lambda: min(
+        len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+        else os.cpu_count() or 1, _MAX_WORKERS))  # no affinity on macOS or Windows
 
     def __post_init__(self):
         if self.scenario not in SCENARIOS:

@@ -2,7 +2,7 @@
 
 Codebooks live over full differential channel matrices; quantization is
 nearest codeword in Frobenius distance.  A feedback session runs the
-causal loop of capacity.feedback_loop with the codebook as its quantizer:
+causal loop of capacity._feedback_loop with the codebook as its quantizer:
 at each epoch the four protocol steps (difference, quantize, send index,
 accumulate) leave both sides with the identical quantized channel.
 """
@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .capacity import CapacityConfig, feedback_loop
+from .capacity import CapacityConfig, _feedback_loop
 from .channel import ChannelParams, advance, autocorrelation, estimate
 from .mathcore import RngStream, _Prefetch, check_finite, sample_cn
 from .ratedist import FeedbackBudget, distortion_from_rate
@@ -217,7 +217,7 @@ def open_loop_training_samples(
 
 
 def _codebook_quantizer(cb: Codebook):
-    """The codebook as a feedback_loop quantizer: H_bar + C[nearest(H_hat - H_bar)]."""
+    """The codebook as a _feedback_loop quantizer: H_bar + C[nearest(H_hat - H_bar)]."""
     def quantize_step(h_hat, h_bar):
         h_d = h_hat - h_bar                                    # step 1
         # steps 2-4: nearest index, sent losslessly, accumulated on both sides
@@ -228,10 +228,9 @@ def _codebook_quantizer(cb: Codebook):
 
 def _sessions(cfg: CapacityConfig, t: int, quantize_step, n_blocks: int, seeds) -> np.ndarray:
     """Feedback sessions, one per seed, as the rows of one batched loop."""
-    p = cfg.params
     with _Prefetch(*(RngStream(s, 0).generator() for s in seeds)) as rng:
-        h = sample_cn((len(seeds), p.n_r, p.n_t), p.sigma_h2, rng)
-        return feedback_loop(cfg, t, n_blocks, 0, quantize_step, h, rng)
+        return np.stack(list(_feedback_loop(cfg, t, n_blocks, 0, quantize_step, len(seeds),
+                                            rng)))
 
 
 def run_feedback_session(

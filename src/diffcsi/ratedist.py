@@ -37,7 +37,7 @@ __all__ = [
 LN2 = math.log(2.0)
 
 
-class SolverError(RuntimeError):
+class SolverError(ArithmeticError):
     """Raised when the interval solver cannot bracket a root."""
 
 
@@ -205,11 +205,13 @@ def optimal_interval(params: ChannelParams, c_fb: float) -> IntervalOptimum:
     k = exponent_constant(params, c_fb)
 
     grid = np.linspace(1e-8, 1.5, 4097)
-    vals = distortion_derivative(params, c_fb, grid)
-    rising = np.flatnonzero((vals[:-1] < 0.0) & (vals[1:] >= 0.0))
+    with np.errstate(invalid="ignore"):  # 0/0 where 2^(-kx) and J0 round to 1 at r = 1
+        vals = distortion_derivative(params, c_fb, grid)
+    rising = np.flatnonzero((vals[:-1] < 0.0) & (vals[1:] >= 0.0))  # a NaN brackets nothing
     if rising.size == 0:
         raise SolverError(
-            "no sign change of the distortion derivative in (0, 1.5); "
+            "no sign change of the distortion derivative in (0, 1.5) "
+            f"({np.count_nonzero(~np.isfinite(vals))} of {grid.size} grid points not finite); "
             f"params={params!r}, c_fb={c_fb}, k={k}"
         )
 

@@ -274,6 +274,14 @@ class TestPool:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3})
         assert ExperimentConfig(scenario="fig2").workers == 1
 
+    @pytest.mark.parametrize("cpus, expect", [(3, 3), (None, 1), (200, 64)])
+    def test_default_workers_without_affinity(self, monkeypatch, cpus, expect):
+        # macOS and Windows have no os.sched_getaffinity: all CPUs, or 1 if unknown
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert ExperimentConfig(scenario="fig2").workers == expect
+        assert main(["fig2", "--set", "t_max=2"]) == EXIT_OK
+
     @pytest.mark.parametrize("failure", ["raise", "die"])
     def test_failed_rate_job_exits_3_on_one_line(self, failure, monkeypatch, capsys):
         parent = os.getpid()
@@ -411,10 +419,17 @@ class TestCli:
 
     def test_numerical_error_exit_code(self, capsys):
         # with a perfect estimator the distortion curve has no interior
-        # minimum, so the interval solver cannot bracket a root
-        rc = main(["optimal-interval", "--set", "sigma_hhat2=1.0"])
-        assert rc == EXIT_NUMERICAL
-        assert "numerical failure" in capsys.readouterr().err
+        # minimum, so the interval solver cannot bracket a root.  At the
+        # second argv the grid's first point is 0/0 (2^(-kx) and J0 round
+        # to 1 at x = 1e-8), which must end in the one line, not a warning
+        for argv, not_finite in [(["--set", "sigma_hhat2=1.0"], 0),
+                                 (["--set", "sigma_hhat2=1.0", "--set", "f_d=1000", "--set",
+                                   "c_fb=1e-6", "--set", "n_t=8", "--set", "n_r=8"], 1)]:
+            rc = main(["optimal-interval", *argv])
+            assert rc == EXIT_NUMERICAL
+            err = capsys.readouterr().err
+            assert err.startswith("numerical failure: no sign change") and err.count("\n") == 1
+            assert f"({not_finite} of 4097 grid points not finite)" in err
 
     def test_lloyd_divergence_exits_3(self, diverging_lloyd, capsys):
         rc = main(["fig5", "--set", "r_max=2", "--set", "trials=4", "--set", "lloyd_sessions=2",
