@@ -36,6 +36,9 @@ CHUNK_TRIALS = 2048  # fixed chunking keeps results worker-count invariant
 # |det H|^2 grows like sigma_hhat2^2: fig4 (200 trials, T <= 2) overflowed at
 # 1e154 and not at 1e153, so this leaves 10^4 trials x 100 blocks a tail margin
 MAX_SIGMA_HHAT2 = 1e150
+# and shrinks like sigma_h2^2: fig4 at 10^4 trials and T = 1..100 kept its bytes
+# at 1e-153 and changed in the 12th digit at 1e-155, so this mirrors the bound above
+MIN_SIGMA_H2 = 1e-150
 
 
 @dataclass(frozen=True)
@@ -57,6 +60,9 @@ class CapacityConfig:
         if self.params.sigma_hhat2 > MAX_SIGMA_HHAT2:  # sigma_h2 <= sigma_hhat2 too
             raise ValueError(f"sigma_hhat2={self.params.sigma_hhat2} exceeds "
                              f"{MAX_SIGMA_HHAT2:g}: the capacity kernel would overflow")
+        if self.params.sigma_h2 < MIN_SIGMA_H2:  # the closed forms' sigma_h2^2 too
+            raise ValueError(f"sigma_h2={self.params.sigma_h2} is below {MIN_SIGMA_H2:g}: "
+                             "the capacity kernel would underflow")
         try:  # 10^(snr_db / 10) can overflow, or underflow to an A^2 of 0
             in_range = 1.0 / self.amplitude2 < math.inf
         except (OverflowError, ZeroDivisionError):
@@ -245,7 +251,7 @@ def _simulate_chunk(args):
 
     Returns the per-trial capacities (n_d, n_trials), one row per distortion.
     """
-    cfg, budget, distortions, n_trials, seed, chunk_id, periods, mode = args
+    cfg, budget, distortions, n_trials, seed, chunk_id, periods = args
     p = cfg.params
     t = budget.t_blocks
     shape = (n_trials, p.n_r, p.n_t)
@@ -258,24 +264,12 @@ def _simulate_chunk(args):
         def gaussian_quantizer(h_hat, h_bar):
             return h_hat - (scale * rng.standard_normal((*shape, 2))).view(complex)[..., 0]
 
-        if mode == "simulate":
-            # the Gaussian test channel; the cold-start period is excluded
-            blocks = _feedback_loop(cfg, t, (periods + 1) * t, t, gaussian_quantizer,
-                                    n_trials, rng)
-            n_blocks = periods * t
-        else:
-            # independent per-block snapshots with the effective distortion d
-            def snapshots():
-                for _ in range(periods):
-                    h_hat = estimate(sample_cn(shape, p.sigma_h2, rng), p, rng)
-                    h_bar = gaussian_quantizer(h_hat, None)
-                    yield _capacity_batch(h_hat, _held_precoder(h_bar, cfg), cfg)
-
-            blocks = snapshots()
-            n_blocks = periods
+        # the Gaussian test channel; the cold-start period is excluded
+        blocks = _feedback_loop(cfg, t, (periods + 1) * t, t, gaussian_quantizer,
+                                n_trials, rng)
         # a running sum in block order, as np.stack(blocks).mean(axis=0) sums a
         # chunk of more than one trial, without holding every block's capacities
-        return sum(blocks) / n_blocks
+        return sum(blocks) / (periods * t)
 
 
 @contextlib.contextmanager
@@ -303,11 +297,11 @@ def ergodic_capacity(
     """Monte Carlo mean and standard error of the per-block capacity, one
     (mean, stderr) per entry of the sequence `distortions`.
 
-    mode "simulate": quantized feedback is formed at each epoch from the
-    current estimate (additive error of per-entry variance d) and the
-    precoder is held for T = budget.t_blocks blocks, so within-period aging
-    is simulated.  mode "analytic": every block gets an independent
-    snapshot with the supplied effective distortion (the theory curve).
+    The Gaussian test channel forms feedback at each epoch from the current
+    estimate (additive error of per-entry variance d), and the precoder is
+    held for T = budget.t_blocks blocks over `periods` counted periods.
+    `mode` stays only for perfbench's hook, which binds it: any value but
+    "simulate" is refused.
 
     Every distortion sees the same channels, estimates and test-channel
     normals: a chunk draws them once, and only the error's scale sqrt(d / 2)
@@ -324,9 +318,9 @@ def ergodic_capacity(
         raise ValueError(f"trials must be >= 2, got {trials}")
     if periods < 1:
         raise ValueError(f"periods must be >= 1, got {periods}")
-    if mode not in ("simulate", "analytic"):
-        raise ValueError(f"unknown mode {mode!r}")
-    chunks = [(cfg, budget, ds, min(CHUNK_TRIALS, trials - start), seed, cid, periods, mode)
+    if mode != "simulate":
+        raise ValueError(f"unknown mode {mode!r}; only 'simulate' is accepted")
+    chunks = [(cfg, budget, ds, min(CHUNK_TRIALS, trials - start), seed, cid, periods)
               for cid, start in enumerate(range(0, trials, CHUNK_TRIALS))]
     out = []
     for per_trial in np.concatenate(list(map(_simulate_chunk, chunks)), axis=1):

@@ -199,8 +199,9 @@ def _scenario_fig4(cfg: ExperimentConfig):
     header = ["T"] + [f"{col}_cfb{_fmt(c_fb)}"
                       for c_fb in cfg.c_fb for col in ("C_erg", "stderr")]
     ts = _t_sweep(cfg)
-    ds_by_t = distortion_from_rate(params, autocorrelation(params, ts)[:, None],
-                                   np.outer(ts, cfg.c_fb))
+    with np.errstate(over="ignore"):  # R = T C_fb = inf gives d = 0, as any huge R does
+        r_bits = np.outer(ts, cfg.c_fb)
+    ds_by_t = distortion_from_rate(params, autocorrelation(params, ts)[:, None], r_bits)
     def pool_per_point(fn, chunks):  # each T point's call builds and joins its own pool
         with _pool_map(cfg.workers, len(chunks)) as map_chunks:
             return list(map_chunks(fn, chunks))

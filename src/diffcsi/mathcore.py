@@ -94,7 +94,8 @@ def _bessel(order: int, x):
     if not near.all():
         far = ax[~near]
         p_coef, q_coef = _HANKEL[order]
-        inv2 = 1.0 / (far * far)
+        with np.errstate(over="ignore"):  # far^2 = inf gives 1/far^2 = 0, as it should
+            inv2 = 1.0 / (far * far)
         p = np.polyval(p_coef, inv2)
         q = np.polyval(q_coef, inv2) / far
         c, s = np.cos(far), np.sin(far)

@@ -94,8 +94,9 @@ def mi_lower_bound(params: ChannelParams, alpha, d):
         raise ValueError(f"|alpha| must be <= 1, got {alpha[bad][0]}")
     r = params.ratio
     a2 = alpha * alpha
-    arg = a2 * r * r + (1.0 - a2) * params.sigma_h2 / d \
-        + params.sigma_e2 * (1.0 + a2 * r) / d
+    with np.errstate(over="ignore"):  # an inf rate is left to the caller's finiteness check
+        arg = a2 * r * r + (1.0 - a2) * params.sigma_h2 / d \
+            + params.sigma_e2 * (1.0 + a2 * r) / d
     return np.log2(arg)
 
 
@@ -156,7 +157,8 @@ def distortion_vs_interval(params: ChannelParams, c_fb, t):
     a = autocorrelation(params, t)
     a2 = a * a
     # evaluate via 2^-e so arbitrarily large intervals do not overflow
-    g_inv = 2.0 ** (-c_fb * t / (params.n_r * params.n_t))
+    with np.errstate(over="ignore"):  # C_fb T = inf gives 2^-inf = 0, its limit
+        g_inv = 2.0 ** (-c_fb * t / (params.n_r * params.n_t))
     return (params.sigma_h2 ** 2 / params.sigma_hhat2) * (g_inv - 1.0) * a2 \
         / (1.0 - r * r * a2 * g_inv) + params.sigma_hhat2
 

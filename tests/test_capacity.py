@@ -28,6 +28,11 @@ def _loop(*args):
     return np.stack(list(capacity._feedback_loop(*args)))
 
 
+def _no_chunk(args):
+    """A _simulate_chunk for tests whose arguments must be refused first."""
+    raise AssertionError("a chunk ran")
+
+
 def random_unitary(n, rng):
     q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
     return q * (np.diag(r) / np.abs(np.diag(r)))
@@ -331,21 +336,17 @@ class TestErgodicCapacity:
             assert pool_map is map
         assert inline_pool == []
 
-    def test_analytic_mode_runs(self, cap_cfg):
-        budget = FeedbackBudget(c_fb=2.0, r_bits=6.0, t_blocks=3)
-        [(m, s)] = ergodic_capacity(cap_cfg, budget, [0.2], trials=500, seed=5,
-                                    mode="analytic", periods=4)
-        assert math.isfinite(m) and m > 0
-
-    def test_invalid_arguments(self, cap_cfg):
+    def test_invalid_arguments(self, cap_cfg, monkeypatch):
+        monkeypatch.setattr(capacity, "_simulate_chunk", _no_chunk)
         budget = FeedbackBudget(c_fb=2.0, r_bits=6.0, t_blocks=3)
         for trials in (0, 1):
             with pytest.raises(ValueError, match=f"trials must be >= 2, got {trials}"):
                 ergodic_capacity(cap_cfg, budget, [0.2], trials=trials, seed=1)
-        with pytest.raises(ValueError):
-            ergodic_capacity(cap_cfg, budget, [0.2], trials=10, seed=1, mode="bogus")
+        for mode in ("bogus", "analytic"):  # "analytic" named the deleted snapshot branch
+            with pytest.raises(ValueError, match=f"unknown mode '{mode}'"):
+                ergodic_capacity(cap_cfg, budget, [0.2], trials=10, seed=1, mode=mode)
 
-    @pytest.mark.parametrize("mode", ["simulate", "analytic"])
+    @pytest.mark.parametrize("mode", ["simulate"])  # the one mode accepted
     @pytest.mark.parametrize("workers", [1, 2])
     def test_distortions_match_single_calls(self, cap_cfg, mode, workers):
         # two chunks (2048 + 52 trials); each distortion of one call is the
@@ -358,7 +359,7 @@ class TestErgodicCapacity:
             joint = ergodic_capacity(cap_cfg, budget, ds, **kw)
             assert joint == [ergodic_capacity(cap_cfg, budget, [d], **kw)[0] for d in ds]
 
-    @pytest.mark.parametrize("mode", ["simulate", "analytic"])
+    @pytest.mark.parametrize("mode", ["simulate"])
     def test_zero_distortion_feeds_back_the_estimate(self, cap_cfg, monkeypatch, mode):
         # d = 0 (reached at |alpha| r = 1) scales the shared noise draw by
         # zero, so its row of H_bar is the estimate H_hat itself
@@ -379,17 +380,14 @@ class TestErgodicCapacity:
         budget = FeedbackBudget(c_fb=1.0, r_bits=2.0, t_blocks=2)
         [(m0, _), (m1, _)] = ergodic_capacity(cap_cfg, budget, [0.0, 0.4], trials=50,
                                               seed=4, periods=3, mode=mode)
-        # simulate: epochs 0, 2 and 4 of 8 blocks; the last, 6, forms no precoder
+        # epochs 0, 2 and 4 of 8 blocks; the last, 6, forms no precoder
         assert held == [(True, False)] * 3
         assert math.isfinite(m0) and math.isfinite(m1)
 
     @pytest.mark.parametrize("ds", [[], [float("nan")], [0.2, float("inf")], [0.2, -0.1],
                                     0.2, [[0.2]]])
     def test_bad_distortions_rejected_before_any_chunk(self, cap_cfg, monkeypatch, ds):
-        def no_chunk(args):
-            raise AssertionError("a chunk ran")
-
-        monkeypatch.setattr(capacity, "_simulate_chunk", no_chunk)
+        monkeypatch.setattr(capacity, "_simulate_chunk", _no_chunk)
         budget = FeedbackBudget(c_fb=1.0, r_bits=3.0, t_blocks=3)
         with pytest.raises(ValueError, match="distortions"):
             ergodic_capacity(cap_cfg, budget, ds, trials=10, seed=1)
@@ -453,14 +451,17 @@ def _spy(monkeypatch, name):
 
 
 class TestDrawBudget:
-    @pytest.mark.parametrize("mode, t, periods, expect", [
-        ("simulate", 1, 1, 48), ("simulate", 7, 1, 144), ("analytic", 7, 2, 48)])
-    def test_chunk_normals(self, cap_cfg, monkeypatch, mode, t, periods, expect):
-        # normals per trial, 8 per 2x2 draw.  simulate: the initial channel,
-        # T + 1 visited blocks' estimates, one jump to block T and T - 1
-        # steps after it, and the test channel's noise at epochs 0 and T.
-        # analytic: a snapshot, its estimate and the noise per period.  Four
-        # distortions share one draw, so they take exactly the normals of one.
+    @pytest.mark.parametrize("t, periods, expect", [
+        pytest.param(1, 1, 48, id="simulate-1-1-48"),
+        pytest.param(7, 1, 144, id="simulate-7-1-144"),
+        pytest.param(7, 2, 264, id="simulate-7-2-264")])
+    def test_chunk_normals(self, cap_cfg, monkeypatch, t, periods, expect):
+        # normals per trial, 8 per 2x2 draw: the initial channel, P T + 1
+        # visited blocks' estimates, one jump to block T and P T - 1 steps
+        # after it, and the test channel's noise at the P + 1 epochs 0, T,
+        # .., P T, for P periods: 8 (2 P T + P + 3), so 48, 144 and 264.
+        # Four distortions share one draw, so they take exactly the normals
+        # of one.
         budget = FeedbackBudget(c_fb=1.0, r_bits=t, t_blocks=t)
         b = 3
         streams = []
@@ -472,7 +473,7 @@ class TestDrawBudget:
         monkeypatch.setattr(capacity, "_Prefetch", counted)
         for ds in ([0.2], [0.05, 0.2, 0.6, 1.3]):
             streams.clear()
-            out = capacity._simulate_chunk((cap_cfg, budget, ds, b, 1, 0, periods, mode))
+            out = capacity._simulate_chunk((cap_cfg, budget, ds, b, 1, 0, periods))
             assert out.shape == (len(ds), b)
             [stream] = streams
             assert stream.normals == expect * b

@@ -7,6 +7,7 @@ import re
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from diffcsi import capacity, cli, harness, lloydfb
@@ -473,6 +474,49 @@ class TestCli:
         else:
             # rejected with the config, before any Monte Carlo
             assert err.startswith("error: sigma_hhat2=") and not runs
+
+    @staticmethod
+    def _table(scenario, s, capsys, *argv):
+        """fig2 or fig4's rows at sigma_h2 = s, sigma_hhat2 = 1.2 s, as an array."""
+        assert main([scenario, "--set", f"sigma_h2={s!r}", "--set", f"sigma_hhat2={1.2 * s!r}",
+                     *argv]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        return np.array([[float(v) for v in l.split(",")] for l in lines if l[:1].isdigit()])
+
+    @pytest.mark.parametrize("s", [1e-150, 1e100])
+    def test_channel_variance_scales_out(self, s, capsys):
+        # the capacity depends on the SNR alone and fig2's distortion scales
+        # with the variances, down to the lower bound and up near the upper
+        fig4 = ["--set", "trials=200", "--set", "t_max=3", "--set", "c_fb=1",
+                "--set", "workers=1"]
+        np.testing.assert_allclose(self._table("fig4", s, capsys, *fig4),
+                                   self._table("fig4", 1.0, capsys, *fig4), rtol=1e-10)
+        fig2 = self._table("fig2", s, capsys)
+        fig2[:, 1] /= s
+        np.testing.assert_allclose(fig2, self._table("fig2", 1.0, capsys), rtol=1e-10)
+
+    def test_channel_variance_lower_bound(self, capsys):
+        # 1e-160 moved fig4's T=2 row in the fifth digit, and 1e-200 ended in a NaN
+        assert main(["fig4", "--set", "sigma_h2=1e-160", "--set", "sigma_hhat2=1.2e-160",
+                     "--set", "t_max=3", "--set", "trials=200"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: sigma_h2=1e-160 ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv,rc", [
+        pytest.param(["fig2", "--set", "f_d=1e300", "--set", "t_max=2"], EXIT_OK,
+                     id="bessel-far-squared"),
+        pytest.param(["fig2", "--set", "c_fb=1e308"], EXIT_OK, id="curve-exponent"),
+        pytest.param(["fig4", "--set", "c_fb=1e308", "--set", "t_max=2", "--set", "trials=2"],
+                     EXIT_OK, id="fig4-rates"),
+        pytest.param(["fig3", "--set", "d_list=1e-320"], EXIT_NUMERICAL, id="rate-bound"),
+    ])
+    def test_overflow_warns_nothing(self, argv, rc, capsys):
+        # Tier-1 raises every RuntimeWarning, so an overflow numpy warns of fails
+        # here; where inf or 0 is the right value the run succeeds
+        assert main(argv) == rc
+        err = capsys.readouterr().err
+        assert err == "" if rc == EXIT_OK else (
+            err.startswith("numerical failure: R_min_") and err.count("\n") == 1)
 
     @pytest.mark.parametrize("sigma_e2,rc", [
         ("1e150", EXIT_OK), ("1.01e150", EXIT_USAGE), ("1e308", EXIT_USAGE)])
