@@ -212,8 +212,8 @@ def _feedback_loop(cfg: CapacityConfig, t: int, n_blocks: int, discard: int, qua
     period uses its own epoch's feedback.  The channel moves only through
     channel.estimate and channel.advance.  Yields the capacities (..., rows)
     of each block after the first `discard` (0 <= discard < n_blocks, as
-    callers take them from a FeedbackBudget), for the caller to sum or
-    stack; a quantizer may add leading axes to H_bar, which they keep.
+    callers take them from a FeedbackBudget), for the caller to sum; a
+    quantizer may add leading axes to H_bar, which they keep.
 
     Only blocks something reads are visited: the epochs and the counted
     blocks.  Between two visited blocks k apart the channel takes one exact

@@ -9,6 +9,7 @@ accumulate) leave both sides with the identical quantized channel.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -32,6 +33,7 @@ MAX_RATE_BITS = 16  # exhaustive codeword search is 2^R per sample
 NEAREST_GEMM = 1 << 18  # rows x codewords x real dim of one codeword-search GEMM
 LLOYD_ITERATIONS = 200  # at most this many Lloyd iterations per training
 LLOYD_MIN_GAIN = 1e-4  # stop once an iteration gains less than this share
+SESSION_WARMUP = 2  # periods a feedback session runs before its mean starts
 
 
 @dataclass
@@ -216,23 +218,6 @@ def open_loop_training_samples(
     return estimate(advance(h_prev, alpha, params, rng), params, rng) - h_bar_prev
 
 
-def _codebook_quantizer(cb: Codebook):
-    """The codebook as a _feedback_loop quantizer: H_bar + C[nearest(H_hat - H_bar)]."""
-    def quantize_step(h_hat, h_bar):
-        h_d = h_hat - h_bar                                    # step 1
-        # steps 2-4: nearest index, sent losslessly, accumulated on both sides
-        return h_bar + quantize(h_d, cb)[1]
-
-    return quantize_step
-
-
-def _sessions(cfg: CapacityConfig, t: int, quantize_step, n_blocks: int, seeds) -> np.ndarray:
-    """Feedback sessions, one per seed, as the rows of one batched loop."""
-    with _Prefetch(*(RngStream(s, 0).generator() for s in seeds)) as rng:
-        return np.stack(list(_feedback_loop(cfg, t, n_blocks, 0, quantize_step, len(seeds),
-                                            rng)))
-
-
 def run_feedback_session(
     cfg: CapacityConfig,
     budget: FeedbackBudget,
@@ -240,8 +225,9 @@ def run_feedback_session(
     n_blocks: int,
     seeds,
 ) -> np.ndarray:
-    """Per-block capacities (n_blocks, len(seeds)) of the differential
-    feedback protocol, one session per seed on RngStream(seed, 0).
+    """Mean capacity (len(seeds),) of each differential feedback session
+    over its blocks after the first SESSION_WARMUP periods, one session per
+    seed on RngStream(seed, 0), all run as the rows of one batched loop.
 
     Epochs occur at block indices divisible by T.  The transmitter-side
     reconstruction H_bar_n = H_bar_{n-1} + C_d is exact (lossless index
@@ -249,11 +235,23 @@ def run_feedback_session(
     The first reference is H_bar_0 = 0.
     """
     t = budget.t_blocks
+    warmup = SESSION_WARMUP * t
     if cb.rate_bits > budget.c_fb * t + 1e-12:
         raise ValueError(f"budget violation: R={cb.rate_bits} > C_fb*T={budget.c_fb * t}")
-    if n_blocks < t or not len(seeds):
-        raise ValueError(f"need n_blocks >= t_blocks and a seed, got {n_blocks}, {len(seeds)} seeds")
-    return _sessions(cfg, t, _codebook_quantizer(cb), n_blocks, seeds)
+    if n_blocks <= warmup or not len(seeds):
+        raise ValueError(f"need n_blocks > {SESSION_WARMUP} t_blocks and a seed, "
+                         f"got {n_blocks}, {len(seeds)} seeds")
+
+    def quantize_step(h_hat, h_bar):
+        h_d = h_hat - h_bar                                    # step 1
+        # steps 2-4: nearest index, sent losslessly, accumulated on both sides
+        return h_bar + quantize(h_d, cb)[1]
+
+    with _Prefetch(*(RngStream(s, 0).generator() for s in seeds)) as rng:
+        blocks = _feedback_loop(cfg, t, n_blocks, 0, quantize_step, len(seeds), rng)
+        # a running sum in block order, as capacity._simulate_chunk keeps; the
+        # warm-up blocks are visited, since skipping them would change the draws
+        return sum(itertools.islice(blocks, warmup, None)) / (n_blocks - warmup)
 
 
 def bootstrap_codebook(

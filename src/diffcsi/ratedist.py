@@ -85,7 +85,8 @@ def mi_lower_bound(params: ChannelParams, alpha, d):
     """Conditional mutual-information lower bound in bits per complex dim.
 
     log2[ a^2 r^2 + (1 - a^2) sigma_h2 / d
-          + (sigma_hhat2 - sigma_h2)(1 + a^2 r) / d ],  r = sigma_h2/sigma_hhat2.
+          + (sigma_hhat2 - sigma_h2)(1 + a^2 r) / d ],  r = sigma_h2/sigma_hhat2,
+    taken as log2(d a^2 r^2 + ...) - log2(d) so that a tiny d cannot overflow.
     May be negative; min_feedback_rate clamps at zero.
     """
     if (bad := d <= 0).any():
@@ -94,10 +95,8 @@ def mi_lower_bound(params: ChannelParams, alpha, d):
         raise ValueError(f"|alpha| must be <= 1, got {alpha[bad][0]}")
     r = params.ratio
     a2 = alpha * alpha
-    with np.errstate(over="ignore"):  # an inf rate is left to the caller's finiteness check
-        arg = a2 * r * r + (1.0 - a2) * params.sigma_h2 / d \
-            + params.sigma_e2 * (1.0 + a2 * r) / d
-    return np.log2(arg)
+    num = a2 * r * r * d + (1.0 - a2) * params.sigma_h2 + params.sigma_e2 * (1.0 + a2 * r)
+    return np.log2(num) - np.log2(d)
 
 
 @_float_or_array
@@ -165,7 +164,8 @@ def distortion_vs_interval(params: ChannelParams, c_fb, t):
 
 def exponent_constant(params: ChannelParams, c_fb: float) -> float:
     """k = C_fb / (2 pi N_r N_t f_d t_block)."""
-    return c_fb / (2.0 * math.pi * params.n_r * params.n_t * params.f_d * params.t_block)
+    with np.errstate(over="ignore"):  # an inf k is counted by the solver's finiteness check
+        return c_fb / (2.0 * math.pi * params.n_r * params.n_t * params.f_d * params.t_block)
 
 
 def x_to_interval(params: ChannelParams, x: float) -> float:

@@ -1,4 +1,7 @@
+import functools
+import multiprocessing
 import threading
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -84,3 +87,11 @@ def inline_pool(monkeypatch):
 
     monkeypatch.setattr(capacity, "ProcessPoolExecutor", InlinePool)
     return sizes
+
+
+@pytest.fixture
+def fork_pool(monkeypatch):
+    """Build every pool with the fork start method, so its jobs see what a
+    test patched in this process whatever the platform's default method."""
+    monkeypatch.setattr(capacity, "ProcessPoolExecutor", functools.partial(
+        ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))

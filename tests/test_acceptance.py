@@ -258,9 +258,8 @@ def test_11_lloyd_capacity_convergence():
         cb = bootstrap_codebook(CAP_CFG, budget,
                                 n_samples=max(20000, 100 * 2 ** r_bits),
                                 seed=1200 + r_bits)
-        per_block = run_feedback_session(CAP_CFG, budget, cb, n_blocks=12 * t,
-                                         seeds=[1300 * r_bits + s for s in range(50)])
-        c_lloyd = float(np.mean([np.mean(col) for col in per_block[2 * t:].T]))
+        c_lloyd = float(np.mean(run_feedback_session(
+            CAP_CFG, budget, cb, n_blocks=12 * t, seeds=[1300 * r_bits + s for s in range(50)])))
         gaps.append(c_theory - c_lloyd)
     assert gaps[0] > 0, gaps
     smooth = [np.mean(gaps[i:i + 3]) for i in range(len(gaps) - 2)]

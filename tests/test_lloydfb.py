@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diffcsi import lloydfb, mathcore
-from diffcsi.capacity import _capacity_batch, _held_precoder
+from diffcsi.capacity import _capacity_batch, _feedback_loop, _held_precoder
 from diffcsi.channel import advance, autocorrelation, estimate
 from diffcsi.lloydfb import (
     Codebook,
@@ -389,22 +389,28 @@ class TestNearest:
 
 
 def recorded_session(cfg, budget, cb, n_blocks, seed):
-    """A codebook session whose quantizer logs (H_hat, H_bar before, H_bar after)."""
-    step = lloydfb._codebook_quantizer(cb)
+    """One codebook session's per-block capacities (n_blocks,), run through
+    capacity._feedback_loop with the codebook step, and a log of (H_hat,
+    H_bar before, H_bar after) at each epoch."""
     log = []
 
     def recording(h_hat, h_bar):
-        out = step(h_hat, h_bar)
+        out = h_bar + quantize(h_hat - h_bar, cb)[1]
         log.append((h_hat[0], h_bar[0], out[0]))
         return out
 
-    return lloydfb._sessions(cfg, budget.t_blocks, recording, n_blocks, [seed])[:, 0], log
+    rng = RngStream(seed, 0).generator()
+    blocks = _feedback_loop(cfg, budget.t_blocks, n_blocks, 0, recording, 1, rng)
+    return np.stack(list(blocks))[:, 0], log
 
 
 class TestFeedbackSession:
     def test_shared_reconstruction_identical(self, cap_cfg, budget, codebook):
         caps, log = recorded_session(cap_cfg, budget, codebook, n_blocks=40, seed=9)
-        assert np.array_equal(caps, run_feedback_session(cap_cfg, budget, codebook, 40, [9])[:, 0])
+        # the session's mean is the block-order sum of the blocks after the warm-up
+        warmup = lloydfb.SESSION_WARMUP * budget.t_blocks
+        mean = sum(caps[warmup:]) / (40 - warmup)
+        assert run_feedback_session(cap_cfg, budget, codebook, 40, [9])[0] == mean
         # replay the transmitter side from the fed-back indices alone
         h_bar_tx = np.zeros((2, 2), dtype=complex)
         for h_hat, before, after in log:
@@ -461,7 +467,7 @@ class TestFeedbackSession:
     def test_determinism(self, cap_cfg, budget, codebook):
         a = run_feedback_session(cap_cfg, budget, codebook, n_blocks=20, seeds=[5])
         b = run_feedback_session(cap_cfg, budget, codebook, n_blocks=20, seeds=[5])
-        assert a.shape == (20, 1)
+        assert a.shape == (1,)
         assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("rate_bits", [1, 4])
@@ -476,24 +482,42 @@ class TestFeedbackSession:
         monkeypatch.setattr(mathcore, "_PREFETCH_FLOOR", 300)
         seeds = [3, 17, 17, 40, 41]
         batch = run_feedback_session(cap_cfg, budget, cb, n_blocks=300, seeds=seeds)
-        assert batch.shape == (300, len(seeds))
+        assert batch.shape == (len(seeds),)
         for j, s in enumerate(seeds):
             single = run_feedback_session(cap_cfg, budget, cb, n_blocks=300, seeds=[s])
-            assert np.array_equal(batch[:, j], single[:, 0])
+            assert np.array_equal(batch[j:j + 1], single)
 
-    def test_failed_quantizer_stops_the_prefetch_thread(self, cap_cfg):
+    def test_failed_quantizer_stops_the_prefetch_thread(self, cap_cfg, budget, codebook,
+                                                        monkeypatch):
         calls = []
 
-        def failing(h_hat, h_bar):
+        def failing(h_d, cb):
             calls.append(1)
             if len(calls) == 3:
                 raise KeyError("quantizer failed")
-            return h_hat
+            return quantize(h_d, cb)
 
+        monkeypatch.setattr(lloydfb, "quantize", failing)
         with pytest.raises(KeyError):
-            lloydfb._sessions(cap_cfg, 2, failing, 10, [4, 5, 6])
+            run_feedback_session(cap_cfg, budget, codebook, 20, [4, 5, 6])
         assert len(calls) == 3
         assert not [t for t in threading.enumerate() if t.name == "diffcsi-prefetch"]
+
+    def test_memory_does_not_grow_with_the_session(self, params, cap_cfg):
+        # the sessions keep a running sum, not every block's capacities: a
+        # stack of 500 sessions' blocks would grow by at least 9.6 MB from 600 to 3,000
+        budget = FeedbackBudget(c_fb=1.0, r_bits=1, t_blocks=1)
+        samples = open_loop_training_samples(params, budget, 200, RngStream(66, 0))
+        cb = train_codebook(samples, rate_bits=1, seed=8)
+        peaks = []
+        for n_blocks in (600, 3000):
+            tracemalloc.start()
+            try:
+                run_feedback_session(cap_cfg, budget, cb, n_blocks, range(500))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 1e6, peaks
 
 
 class TestBootstrap:
