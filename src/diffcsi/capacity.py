@@ -210,15 +210,16 @@ def _feedback_loop(cfg: CapacityConfig, t: int, n_blocks: int, discard: int, qua
     from the previous epoch's H_bar, so the CSI in use at an epoch is one
     interval old (the delayed-distortion closed form); the cold-start
     period uses its own epoch's feedback.  The channel moves only through
-    channel.estimate and channel.advance.  Yields the capacities (..., rows)
-    of each block after the first `discard` (0 <= discard < n_blocks, as
-    callers take them from a FeedbackBudget), for the caller to sum; a
-    quantizer may add leading axes to H_bar, which they keep.
+    channel.estimate and channel.advance.  Returns the mean capacity
+    (..., rows) over the blocks after the first `discard` (0 <= discard <
+    n_blocks, as callers take them from a FeedbackBudget), a running sum in
+    block order, so no block's capacities are kept; a quantizer may add
+    leading axes to H_bar, which the mean keeps.
 
     Only blocks something reads are visited: the epochs and the counted
     blocks.  Between two visited blocks k apart the channel takes one exact
-    AR(1) jump with coefficient alpha^k, so a discarded cold start draws
-    only at its epochs; with discard = 0 every block is visited.  The last
+    AR(1) jump with coefficient alpha^k, so discarded blocks draw only at
+    their epochs; with discard = 0 every block is visited.  The last
     epoch's H_bar forms no precoder unless its own period is the first, as
     no later block reads it.
     """
@@ -227,7 +228,7 @@ def _feedback_loop(cfg: CapacityConfig, t: int, n_blocks: int, discard: int, qua
     h = sample_cn((rows, p.n_r, p.n_t), p.sigma_h2, rng)
     h_bar = np.zeros_like(h)
     prec = held = None
-    last = 0
+    last = total = 0
     for n in range(n_blocks):
         if n % t and n < discard:
             continue
@@ -243,7 +244,8 @@ def _feedback_loop(cfg: CapacityConfig, t: int, n_blocks: int, discard: int, qua
             if prec is None:
                 prec = held
         if n >= discard:
-            yield _capacity_batch(h_hat, prec, cfg)
+            total = total + _capacity_batch(h_hat, prec, cfg)
+    return total / (n_blocks - discard)
 
 
 def _simulate_chunk(args):
@@ -265,11 +267,8 @@ def _simulate_chunk(args):
             return h_hat - (scale * rng.standard_normal((*shape, 2))).view(complex)[..., 0]
 
         # the Gaussian test channel; the cold-start period is excluded
-        blocks = _feedback_loop(cfg, t, (periods + 1) * t, t, gaussian_quantizer,
-                                n_trials, rng)
-        # a running sum in block order, as np.stack(blocks).mean(axis=0) sums a
-        # chunk of more than one trial, without holding every block's capacities
-        return sum(blocks) / (periods * t)
+        return _feedback_loop(cfg, t, (periods + 1) * t, t, gaussian_quantizer,
+                              n_trials, rng)
 
 
 @contextlib.contextmanager

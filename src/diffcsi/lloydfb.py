@@ -9,7 +9,6 @@ accumulate) leave both sides with the identical quantized channel.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -228,6 +227,7 @@ def run_feedback_session(
     """Mean capacity (len(seeds),) of each differential feedback session
     over its blocks after the first SESSION_WARMUP periods, one session per
     seed on RngStream(seed, 0), all run as the rows of one batched loop.
+    The warm-up is the loop's discard, so it is visited only at its epochs.
 
     Epochs occur at block indices divisible by T.  The transmitter-side
     reconstruction H_bar_n = H_bar_{n-1} + C_d is exact (lossless index
@@ -248,10 +248,7 @@ def run_feedback_session(
         return h_bar + quantize(h_d, cb)[1]
 
     with _Prefetch(*(RngStream(s, 0).generator() for s in seeds)) as rng:
-        blocks = _feedback_loop(cfg, t, n_blocks, 0, quantize_step, len(seeds), rng)
-        # a running sum in block order, as capacity._simulate_chunk keeps; the
-        # warm-up blocks are visited, since skipping them would change the draws
-        return sum(itertools.islice(blocks, warmup, None)) / (n_blocks - warmup)
+        return _feedback_loop(cfg, t, n_blocks, warmup, quantize_step, len(seeds), rng)
 
 
 def bootstrap_codebook(

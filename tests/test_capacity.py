@@ -23,9 +23,28 @@ from diffcsi.ratedist import FeedbackBudget, distortion_from_rate
 from oracles import block_capacity, waterfill
 
 
+def _recorded(fn, *args):
+    """fn(*args) and the capacities of every block it computed, stacked, as
+    recorded by a wrapper around capacity._capacity_batch, which
+    capacity._feedback_loop looks up at each block."""
+    blocks, real = [], capacity._capacity_batch
+
+    def recording(*batch_args):
+        blocks.append(real(*batch_args))
+        return blocks[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(capacity, "_capacity_batch", recording)
+        out = fn(*args)
+    return out, np.stack(blocks)
+
+
 def _loop(*args):
-    """Every counted block of capacity._feedback_loop, stacked."""
-    return np.stack(list(capacity._feedback_loop(*args)))
+    """Every counted block of capacity._feedback_loop, stacked; the loop's
+    mean must be their block-order sum over their count, bitwise."""
+    mean, blocks = _recorded(capacity._feedback_loop, *args)
+    assert np.array_equal(mean, sum(blocks) / len(blocks))
+    return blocks
 
 
 def _no_chunk(args):
@@ -413,6 +432,15 @@ class TestFeedbackLoop:
         assert len(calls) == 4 and np.all(calls[0] == 0)
         again, _ = run(21)
         assert np.array_equal(caps, again)
+
+    def test_chunk_mean_is_the_block_order_sum(self, cap_cfg):
+        # two distortions give H_bar, and so each block, a leading axis of 2
+        budget = FeedbackBudget(c_fb=1.0, r_bits=3.0, t_blocks=3)
+        mean, blocks = _recorded(capacity._simulate_chunk,
+                                 (cap_cfg, budget, [0.1, 0.5], 5, 1, 0, 2))
+        assert blocks.shape == (6, 2, 5)
+        assert np.array_equal(mean, sum(blocks) / 6)
+        assert not np.array_equal(mean[0], mean[1])
 
     def test_loop_draws_its_start_first(self, params, cap_cfg):
         # the rows' stationary starting channels are the stream's first read

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from diffcsi import lloydfb, mathcore
+from diffcsi import capacity, lloydfb, mathcore
 from diffcsi.capacity import _capacity_batch, _feedback_loop, _held_precoder
 from diffcsi.channel import advance, autocorrelation, estimate
 from diffcsi.lloydfb import (
@@ -388,10 +388,24 @@ class TestNearest:
             "the BLAS does not sum the GEMM's inner index in order")
 
 
-def recorded_session(cfg, budget, cb, n_blocks, seed):
-    """One codebook session's per-block capacities (n_blocks,), run through
-    capacity._feedback_loop with the codebook step, and a log of (H_hat,
-    H_bar before, H_bar after) at each epoch."""
+def _recording_blocks(mp):
+    """Record every block's capacities: mp wraps capacity._capacity_batch,
+    which capacity._feedback_loop looks up at each block."""
+    blocks, real = [], capacity._capacity_batch
+
+    def recording(*args):
+        blocks.append(real(*args))
+        return blocks[-1]
+
+    mp.setattr(capacity, "_capacity_batch", recording)
+    return blocks
+
+
+def recorded_session(cfg, budget, cb, n_blocks, seed, discard=0):
+    """One codebook session run through capacity._feedback_loop with the
+    codebook step: the loop's mean, the capacities of its blocks after the
+    first `discard` (n_blocks - discard,), and a log of (H_hat, H_bar
+    before, H_bar after) at each epoch."""
     log = []
 
     def recording(h_hat, h_bar):
@@ -400,17 +414,24 @@ def recorded_session(cfg, budget, cb, n_blocks, seed):
         return out
 
     rng = RngStream(seed, 0).generator()
-    blocks = _feedback_loop(cfg, budget.t_blocks, n_blocks, 0, recording, 1, rng)
-    return np.stack(list(blocks))[:, 0], log
+    with pytest.MonkeyPatch.context() as mp:
+        blocks = _recording_blocks(mp)
+        mean = _feedback_loop(cfg, budget.t_blocks, n_blocks, discard, recording, 1, rng)
+    return mean[0], np.stack(blocks)[:, 0], log
 
 
 class TestFeedbackSession:
-    def test_shared_reconstruction_identical(self, cap_cfg, budget, codebook):
-        caps, log = recorded_session(cap_cfg, budget, codebook, n_blocks=40, seed=9)
-        # the session's mean is the block-order sum of the blocks after the warm-up
+    def test_shared_reconstruction_identical(self, cap_cfg, budget, codebook, monkeypatch):
         warmup = lloydfb.SESSION_WARMUP * budget.t_blocks
-        mean = sum(caps[warmup:]) / (40 - warmup)
+        mean, caps, log = recorded_session(cap_cfg, budget, codebook, n_blocks=40, seed=9,
+                                           discard=warmup)
+        # the session's mean is the block-order sum of its blocks after the
+        # warm-up, over their count, and the session is this loop
+        assert len(caps) == 40 - warmup
+        assert mean == sum(caps) / (40 - warmup)
+        blocks = _recording_blocks(monkeypatch)
         assert run_feedback_session(cap_cfg, budget, codebook, 40, [9])[0] == mean
+        assert np.array_equal(np.stack(blocks)[:, 0], caps)
         # replay the transmitter side from the fed-back indices alone
         h_bar_tx = np.zeros((2, 2), dtype=complex)
         for h_hat, before, after in log:
@@ -421,7 +442,8 @@ class TestFeedbackSession:
 
     def test_h_bar_constant_between_epochs(self, params, cap_cfg, budget, codebook):
         t, n_blocks, seed = budget.t_blocks, 42, 10
-        caps, log = recorded_session(cap_cfg, budget, codebook, n_blocks, seed)
+        mean, caps, log = recorded_session(cap_cfg, budget, codebook, n_blocks, seed)
+        assert len(caps) == n_blocks and mean == sum(caps) / n_blocks
         # the codebook draws nothing, so the channel replays on the same seed
         rng = RngStream(seed, 0).generator()
         h = sample_cn((1, 2, 2), params.sigma_h2, rng)
@@ -440,6 +462,22 @@ class TestFeedbackSession:
             expect = _capacity_batch(h_hats[n], _held_precoder(held[None], cap_cfg), cap_cfg)
             assert caps[n] == expect[0]
 
+    def test_session_visits_only_what_it_reads(self, cap_cfg, budget, codebook, monkeypatch):
+        # T = 4 and 48 blocks: the warm-up's two epochs and the 40 counted
+        # blocks take an estimate, and only the counted blocks a capacity
+        assert budget.t_blocks == 4
+        estimates = []
+        real_estimate = capacity.estimate
+
+        def counted(*args):
+            estimates.append(args)
+            return real_estimate(*args)
+
+        monkeypatch.setattr(capacity, "estimate", counted)
+        blocks = _recording_blocks(monkeypatch)
+        run_feedback_session(cap_cfg, budget, codebook, n_blocks=48, seeds=[3])
+        assert (len(estimates), len(blocks)) == (42, 40)
+
     def test_budget_violation_rejected(self, cap_cfg, codebook):
         bad = FeedbackBudget(c_fb=0.5, r_bits=4, t_blocks=4)
         with pytest.raises(ValueError):
@@ -456,7 +494,7 @@ class TestFeedbackSession:
     def test_epoch_distortion_respects_converse(self, params, cap_cfg, budget, codebook):
         dists = []
         for s in range(20):
-            _, log = recorded_session(cap_cfg, budget, codebook, n_blocks=48, seed=100 + s)
+            _, _, log = recorded_session(cap_cfg, budget, codebook, n_blocks=48, seed=100 + s)
             # per-entry |H_hat - H_bar|^2 right after each epoch, warm-up dropped
             dists.append(np.mean([np.mean(np.abs(h_hat - after) ** 2)
                                   for h_hat, _, after in log[5:]]))
