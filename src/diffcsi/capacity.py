@@ -288,7 +288,7 @@ def ergodic_capacity(
     budget: FeedbackBudget,
     distortions,
     trials: int,
-    seed: int,
+    seed: int | tuple,
     periods: int = 1,
     mode: str = "simulate",
     map=map,

@@ -75,6 +75,10 @@ class ExperimentConfig:
         if not self.sigma_e2_list or min(self.sigma_e2_list) < 0:
             raise ValueError(f"sigma_e2_list must be a non-empty list of values >= 0, "
                              f"got {self.sigma_e2_list}")
+        for key in ("c_fb", "d_list", "sigma_e2_list"):  # each value names CSV columns or rows
+            shown = [_fmt(v) for v in getattr(self, key)]
+            if len(set(shown)) < len(shown):
+                raise ValueError(f"{key} repeats a value to the CSV's 12 digits, got {shown}")
         # a standard error needs at least two samples; ergodic_capacity keeps a
         # capacity per trial and C_fb value, which the entry cap bounds too
         if not 2 <= self.trials <= _MAX_ENTRIES // len(self.c_fb) or self.lloyd_sessions < 2:
@@ -96,11 +100,11 @@ class ExperimentConfig:
         if len(range(self.t_min, self.t_max + 1, self.t_step)) > 10**6:
             raise ValueError(f"the T sweep t_min={self.t_min}, t_max={self.t_max}, "
                              f"t_step={self.t_step} has more than 10^6 points")
-        if self.scenario == "fig5" and not (self.r_max / self.c_fb[0] <= _SESSION_SEEDS - 1
-                                            and self.lloyd_sessions <= _SESSION_SEEDS):
-            raise ValueError(f"fig5's seeds need ceil(r_max / c_fb[0]) < {_SESSION_SEEDS} and "
-                             f"lloyd_sessions <= {_SESSION_SEEDS}, got {self.r_max}, "
-                             f"{self.c_fb[0]}, {self.lloyd_sessions}")
+        if self.scenario == "fig5" and not self.r_max / self.c_fb[0] <= _MAX_FIG5_INTERVAL:
+            raise ValueError(f"fig5 needs ceil(r_max / c_fb[0]) <= {_MAX_FIG5_INTERVAL}, "
+                             f"got r_max={self.r_max}, c_fb={self.c_fb[0]}")
+        if self.scenario == "fig4" and self.t_max >= 2 ** 32:  # T is one word of a key
+            raise ValueError(f"fig4 needs t_max < 2^32, got t_max={self.t_max}")
         # the channel and link configs run their own range checks, the
         # antenna counts before they size the arrays below
         self.params
@@ -207,8 +211,8 @@ def _scenario_fig4(cfg: ExperimentConfig):
         # one call per T: every C_fb shares its channel draws; the Monte
         # Carlo reads only the interval from the budget
         budget = FeedbackBudget(c_fb=cfg.c_fb[0], r_bits=cfg.c_fb[0] * t, t_blocks=t)
-        points = ergodic_capacity(ccfg, budget, ds, trials=cfg.trials, seed=cfg.seed + t,
-                                  map=pool_per_point)
+        points = ergodic_capacity(ccfg, budget, ds, trials=cfg.trials,
+                                  seed=(_THEORY, cfg.seed, t), map=pool_per_point)
         rows.append([t] + [v for point in points for v in point])
     return header, rows
 
@@ -222,10 +226,9 @@ _MAX_ENTRIES = 100 * 2 ** lloydfb.MAX_RATE_BITS * 4
 # each holds a Monte Carlo chunk of up to _MAX_ENTRIES or one fig5 rate's training set
 _MAX_WORKERS = 64
 
-# fig5's Lloyd training seeds start here, so the theory's seed + T (T = ceil(R / C_fb))
-# meets neither them nor the sessions' seed + 10007 R + s, as the config holds T < 10007.
-_LLOYD_TRAINING_SEED = 500_000
-_SESSION_SEEDS = 10007
+_MAX_FIG5_INTERVAL = 10006  # so that c_fb = 1e-300 exits instead of running for ever
+# a substream's key: its role, the master seed, then T, R or (R, session); see RngStream
+_THEORY, _TRAINING, _SESSIONS = 1, 2, 3
 
 
 def _fig5_rate(cfg: ExperimentConfig, r_bits: int, d: float) -> list:
@@ -235,12 +238,12 @@ def _fig5_rate(cfg: ExperimentConfig, r_bits: int, d: float) -> list:
     ccfg = cfg.capacity_config
     budget = FeedbackBudget.from_rate(r_bits, cfg.c_fb[0])
     t = budget.t_blocks
-    [(c_theory, _)] = ergodic_capacity(ccfg, budget, [d], trials=cfg.trials, seed=cfg.seed + t)
+    [(c_theory, _)] = ergodic_capacity(ccfg, budget, [d], cfg.trials, (_THEORY, cfg.seed, t))
     cb = lloydfb.bootstrap_codebook(
         ccfg, budget, n_samples=max(cfg.lloyd_training, 100 * 2 ** r_bits),
-        seed=cfg.seed + _LLOYD_TRAINING_SEED + 7 * r_bits,
+        seed=(_TRAINING, cfg.seed, r_bits),
     )
-    seeds = [cfg.seed + _SESSION_SEEDS * r_bits + s for s in range(cfg.lloyd_sessions)]
+    seeds = [(_SESSIONS, cfg.seed, r_bits, s) for s in range(cfg.lloyd_sessions)]
     caps = lloydfb.run_feedback_session(ccfg, budget, cb, n_blocks=12 * t, seeds=seeds)
     stderr = float(np.std(caps, ddof=1) / math.sqrt(len(caps)))
     return [t, c_theory, float(np.mean(caps)), stderr]

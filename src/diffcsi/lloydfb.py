@@ -114,7 +114,7 @@ def quantize(h_d: np.ndarray, cb: Codebook):
     return (int(idx) if idx.ndim == 0 else idx), cb.entries[idx]
 
 
-def train_codebook(samples: np.ndarray, rate_bits: int, seed: int = 0) -> Codebook:
+def train_codebook(samples: np.ndarray, rate_bits: int, seed: int | tuple = 0) -> Codebook:
     """Lloyd training of a 2^R-entry codebook over differential matrices.
 
     Alternates nearest-neighbor partition and centroid update (stopping rule:
@@ -255,7 +255,7 @@ def bootstrap_codebook(
     cfg: CapacityConfig,
     budget: FeedbackBudget,
     n_samples: int,
-    seed: int,
+    seed: int | tuple,
 ) -> Codebook:
     """Open-loop training: a codebook trained on n_samples open-loop
     differential samples drawn from RngStream(seed, 1)."""

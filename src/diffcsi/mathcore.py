@@ -124,9 +124,19 @@ class RngStream:
     sequence, independently of platform and of how many other streams
     exist.  Distinct stream_ids give statistically independent substreams
     (numpy SeedSequence spawning keys).
+
+    A master seed is an int or a key, a sequence of ints >= 0; SeedSequence
+    reads either as 32-bit words (an int >= 2^32 takes several) and pads
+    them with zeros to four words, so 5, (5,) and (5, 0) seed one stream.
+    The scenarios (harness) key their streams (role, seed, T), (role, seed,
+    R) or (role, seed, R, session): a nonzero role constant, the master
+    seed, then values below 2^32, with T and R >= 1.  So two roles' keys
+    differ in their first word, one role's keys differ wherever their seeds
+    or indices do, and no key is an int below 2^64, which pads to
+    (low, high, 0, 0): a key has a nonzero third word or more than four.
     """
 
-    master_seed: int
+    master_seed: int | tuple
     stream_id: int = 0
 
     def generator(self) -> np.random.Generator:

@@ -125,26 +125,39 @@ class TestScenarios:
             assert [row[:1] + row[1 + 2 * j:3 + 2 * j] for row in joint] == alone
 
     @pytest.mark.parametrize("overrides", [
-        dict(c_fb=[0.15], r_max=1, trials=2100, lloyd_training=200),
-        dict(r_max=7, trials=2, lloyd_training=100),
-    ], ids=["two-chunks", "default-c_fb"])
+        dict(scenario="fig5", c_fb=[0.15], r_max=1, trials=2100, lloyd_training=200),
+        dict(scenario="fig5", r_max=7, trials=2, lloyd_training=100),
+        dict(scenario="fig4", t_min=1, t_max=4, c_fb=[1.0], trials=2),
+    ], ids=["two-chunks", "default-c_fb", "fig4"])
     def test_fig5_theory_and_lloyd_substreams_disjoint(self, overrides, monkeypatch):
         # fig5's theory curve (capacity) and its Lloyd training and sessions
-        # (lloydfb) must not draw from the same (master_seed, stream_id).  The
-        # recording sees this process only, so workers=1 keeps every draw here;
-        # test_12 shows the bytes do not depend on workers
-        built = {}
-        for module in (capacity, lloydfb):
-            pairs = built[module.__name__] = set()
+        # (lloydfb) draw from no common stream, and neither fig4 nor fig5 shares
+        # one with the same run at master seed + 1.  A stream is its generator's
+        # initial PCG64 state, since 5 and (5,) seed one stream.  The recording
+        # sees this process only, so workers=1 keeps every draw here; test_12
+        # shows the bytes do not depend on workers
+        def opened(seed):
+            states = {}
+            for module in (capacity, lloydfb):
+                found = states[module.__name__] = set()
 
-            def recording(master_seed, stream_id=0, _pairs=pairs, _cls=module.RngStream):
-                _pairs.add((master_seed, stream_id))
-                return _cls(master_seed, stream_id)
+                class Recording(module.RngStream):
+                    def generator(self, _found=found):
+                        gen = super().generator()
+                        pcg = gen.bit_generator.state["state"]
+                        _found.add((pcg["state"], pcg["inc"]))
+                        return gen
 
-            monkeypatch.setattr(module, "RngStream", recording)
-        run_scenario(ExperimentConfig(scenario="fig5", lloyd_sessions=2, workers=1, **overrides))
-        theory, lloyd = built["diffcsi.capacity"], built["diffcsi.lloydfb"]
-        assert theory and lloyd and not theory & lloyd, sorted(theory & lloyd)
+                monkeypatch.setattr(module, "RngStream", Recording)
+            run_scenario(ExperimentConfig(lloyd_sessions=2, workers=1, seed=seed, **overrides))
+            monkeypatch.undo()
+            return states["diffcsi.capacity"], states["diffcsi.lloydfb"]
+
+        theory, lloyd = opened(12345)
+        assert theory and not theory & lloyd, sorted(theory & lloyd)
+        assert bool(lloyd) == (overrides["scenario"] == "fig5")
+        adjacent = set().union(*opened(12346))
+        assert adjacent and not (theory | lloyd) & adjacent, len((theory | lloyd) & adjacent)
 
     def test_rerun_byte_identical(self):
         cfg = dict(scenario="fig4", t_min=3, t_max=3, c_fb=[1.0], trials=500, seed=5)
@@ -216,11 +229,17 @@ class TestScenarios:
         with pytest.raises(ValueError, match=match):
             ExperimentConfig(**{"scenario": "fig5", **overrides})
 
-    def test_fig5_session_seed_bound_is_inclusive(self):
-        # s < 10007 sessions per rate keep seed + 10007 R + s apart across rates
-        ExperimentConfig(scenario="fig5", lloyd_sessions=10007, r_max=2, c_fb=[2 / 10005.5])
-        # the bound binds fig5 alone
-        ExperimentConfig(scenario="fig4", lloyd_sessions=10008, c_fb=[1e-300])
+    def test_interval_bounds_are_inclusive(self):
+        # fig5's longest interval, T = ceil(r_max / c_fb[0]) = 10006, and fig4's
+        # longest, 2^32 - 1, which must stay one 32-bit word of a substream key
+        ExperimentConfig(scenario="fig5", r_max=2, c_fb=[2 / 10005.5])
+        ExperimentConfig(scenario="fig4", t_min=2 ** 32 - 1, t_max=2 ** 32 - 1)
+        with pytest.raises(ValueError, match="fig4 needs t_max < 2"):
+            ExperimentConfig(scenario="fig4", t_min=2 ** 32, t_max=2 ** 32)
+        # each bound binds its own scenario alone, and the entry cap bounds the sessions
+        ExperimentConfig(scenario="fig4", c_fb=[1e-300])
+        ExperimentConfig(scenario="fig5", t_min=2 ** 32, t_max=2 ** 32)
+        ExperimentConfig(scenario="fig5", lloyd_sessions=10008)
 
     def test_unknown_scenario_rejected(self):
         with pytest.raises(ValueError):
@@ -580,10 +599,13 @@ class TestCli:
         ["fig2", "--set", "c_fb=1 x"],
         ["fig4", "--set", "snr_db=4000"],
         ["fig4", "--set", "snr_db=-4000"],
-        # fig5's seed layout: T = ceil(r_max / c_fb) and the sessions stay below 10007
+        # fig5's interval T = ceil(r_max / c_fb) stays below 10007
         ["fig5", "--set", "r_max=1", "--set", "c_fb=1e-300"],
         ["fig5", "--set", "r_max=2", "--set", "c_fb=1.998e-4"],
-        ["fig5", "--set", "lloyd_sessions=10008"],
+        # values that render alike would repeat a CSV column name
+        ["fig4", "--set", "c_fb=1 1"],
+        ["fig4", "--set", "c_fb=1 1.0000000000001"],
+        ["fig3", "--set", "d_list=0.1 0.1"],
     ])
     def test_invalid_config_exits_2(self, argv, capsys):
         rc = main(argv)
