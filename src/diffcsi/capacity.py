@@ -249,13 +249,12 @@ def _feedback_loop(cfg: CapacityConfig, t: int, n_blocks: int, discard: int, qua
 
 
 def _simulate_chunk(args):
-    """One chunk of Monte Carlo trials; pure function of (seed, chunk index).
+    """One chunk of Monte Carlo trials at interval t; pure in (seed, chunk index).
 
     Returns the per-trial capacities (n_d, n_trials), one row per distortion.
     """
-    cfg, budget, distortions, n_trials, seed, chunk_id, periods = args
+    cfg, t, distortions, n_trials, seed, chunk_id = args
     p = cfg.params
-    t = budget.t_blocks
     shape = (n_trials, p.n_r, p.n_t)
     # sample_cn's layout and scaling, sqrt(d / 2) * [re, im], with one draw
     # of standard normals shared by every distortion d (d-major leading axis)
@@ -266,9 +265,8 @@ def _simulate_chunk(args):
         def gaussian_quantizer(h_hat, h_bar):
             return h_hat - (scale * rng.standard_normal((*shape, 2))).view(complex)[..., 0]
 
-        # the Gaussian test channel; the cold-start period is excluded
-        return _feedback_loop(cfg, t, (periods + 1) * t, t, gaussian_quantizer,
-                              n_trials, rng)
+        # the Gaussian test channel over one period after the discarded cold start
+        return _feedback_loop(cfg, t, 2 * t, t, gaussian_quantizer, n_trials, rng)
 
 
 @contextlib.contextmanager
@@ -298,9 +296,10 @@ def ergodic_capacity(
 
     The Gaussian test channel forms feedback at each epoch from the current
     estimate (additive error of per-entry variance d), and the precoder is
-    held for T = budget.t_blocks blocks over `periods` counted periods.
-    `mode` stays only for perfbench's hook, which binds it: any value but
-    "simulate" is refused.
+    held for T = budget.t_blocks blocks; the mean is over one period after
+    a discarded cold-start period.  `periods` and `mode` stay only because
+    perfbench's hook binds both names, and a traced run would raise KeyError
+    without them: any value but 1 and "simulate" is refused.
 
     Every distortion sees the same channels, estimates and test-channel
     normals: a chunk draws them once, and only the error's scale sqrt(d / 2)
@@ -315,11 +314,10 @@ def ergodic_capacity(
         raise ValueError(f"distortions must be finite and >= 0, got {ds.tolist()}")
     if trials < 2:  # a standard error needs at least two samples
         raise ValueError(f"trials must be >= 2, got {trials}")
-    if periods < 1:
-        raise ValueError(f"periods must be >= 1, got {periods}")
-    if mode != "simulate":
-        raise ValueError(f"unknown mode {mode!r}; only 'simulate' is accepted")
-    chunks = [(cfg, budget, ds, min(CHUNK_TRIALS, trials - start), seed, cid, periods)
+    if periods != 1 or mode != "simulate":
+        raise ValueError(f"only periods=1 and mode='simulate' are accepted, got "
+                         f"periods={periods!r}, mode={mode!r}")
+    chunks = [(cfg, budget.t_blocks, ds, min(CHUNK_TRIALS, trials - start), seed, cid)
               for cid, start in enumerate(range(0, trials, CHUNK_TRIALS))]
     out = []
     for per_trial in np.concatenate(list(map(_simulate_chunk, chunks)), axis=1):

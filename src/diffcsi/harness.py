@@ -97,7 +97,8 @@ class ExperimentConfig:
         if self.t_min > self.t_max:
             raise ValueError(f"t_min ({self.t_min}) exceeds t_max ({self.t_max})")
         # a sweep of 10^6 points took fig2 2.7 s and 203 MB
-        if len(range(self.t_min, self.t_max + 1, self.t_step)) > 10**6:
+        sweep = range(self.t_min, self.t_max + 1, self.t_step)
+        if len(sweep) > 10**6:
             raise ValueError(f"the T sweep t_min={self.t_min}, t_max={self.t_max}, "
                              f"t_step={self.t_step} has more than 10^6 points")
         if self.scenario == "fig5" and not self.r_max / self.c_fb[0] <= _MAX_FIG5_INTERVAL:
@@ -108,6 +109,19 @@ class ExperimentConfig:
         # the channel and link configs run their own range checks, the
         # antenna counts before they size the arrays below
         self.params
+        # 2 pi f_d lag t_block can overflow though f_d and t_block are finite; the
+        # largest lag a scenario correlates over bounds it (its chains also take lag 1)
+        lag, source = sweep[-1], "the last T of t_min..t_max in steps of t_step"
+        if self.scenario == "fig5":  # r_max / c_fb[0] is bounded above, so finite
+            lag = FeedbackBudget.from_rate(self.r_max, self.c_fb[0]).t_blocks
+            source = "ceil(r_max / c_fb[0])"
+        if self.scenario in ("fig2", "fig4", "fig5"):  # fig3 and optimal-interval take none
+            try:
+                with np.errstate(over="ignore"):  # J0 refuses the inf
+                    autocorrelation(self.params, lag)
+            except (ValueError, OverflowError):  # OverflowError: an int lag past float
+                raise ValueError(f"2 pi f_d lag t_block overflows at lag {lag} ({source}): "
+                                 f"f_d={self.f_d}, t_block={self.t_block}") from None
         antennas = f"n_t={self.n_t}, n_r={self.n_r}"
         # a Monte Carlo chunk stacks a row per trial and C_fb value (fig4) or per
         # trial or session (fig5); a row holds H (n_r x n_t), its precoder

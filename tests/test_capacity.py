@@ -362,8 +362,17 @@ class TestErgodicCapacity:
             with pytest.raises(ValueError, match=f"trials must be >= 2, got {trials}"):
                 ergodic_capacity(cap_cfg, budget, [0.2], trials=trials, seed=1)
         for mode in ("bogus", "analytic"):  # "analytic" named the deleted snapshot branch
-            with pytest.raises(ValueError, match=f"unknown mode '{mode}'"):
+            with pytest.raises(ValueError, match=f"got periods=1, mode='{mode}'"):
                 ergodic_capacity(cap_cfg, budget, [0.2], trials=10, seed=1, mode=mode)
+
+    def test_periods_other_than_one_refused_before_any_chunk(self, cap_cfg, monkeypatch):
+        # the mean is over the one period after the cold start; the name
+        # stays only for perfbench's hook
+        monkeypatch.setattr(capacity, "_simulate_chunk", _no_chunk)
+        budget = FeedbackBudget(c_fb=2.0, r_bits=6.0, t_blocks=3)
+        for periods in (0, 2):
+            with pytest.raises(ValueError, match=f"got periods={periods}, mode='simulate'"):
+                ergodic_capacity(cap_cfg, budget, [0.2], trials=10, seed=1, periods=periods)
 
     @pytest.mark.parametrize("mode", ["simulate"])  # the one mode accepted
     @pytest.mark.parametrize("workers", [1, 2])
@@ -374,7 +383,7 @@ class TestErgodicCapacity:
         budget = FeedbackBudget(c_fb=1.0, r_bits=3.0, t_blocks=3)
         ds = [0.05, 0.2, 0.6, 1.3]
         with capacity._pool_map(workers, 2) as pool_map:
-            kw = dict(trials=2100, seed=17, periods=2, mode=mode, map=pool_map)
+            kw = dict(trials=2100, seed=17, mode=mode, map=pool_map)
             joint = ergodic_capacity(cap_cfg, budget, ds, **kw)
             assert joint == [ergodic_capacity(cap_cfg, budget, [d], **kw)[0] for d in ds]
 
@@ -398,9 +407,9 @@ class TestErgodicCapacity:
         monkeypatch.setattr(capacity, "_held_precoder", held_precoder)
         budget = FeedbackBudget(c_fb=1.0, r_bits=2.0, t_blocks=2)
         [(m0, _), (m1, _)] = ergodic_capacity(cap_cfg, budget, [0.0, 0.4], trials=50,
-                                              seed=4, periods=3, mode=mode)
-        # epochs 0, 2 and 4 of 8 blocks; the last, 6, forms no precoder
-        assert held == [(True, False)] * 3
+                                              seed=4, mode=mode)
+        # epochs 0 and 2 of 4 blocks; the last, 2, forms no precoder
+        assert held == [(True, False)]
         assert math.isfinite(m0) and math.isfinite(m1)
 
     @pytest.mark.parametrize("ds", [[], [float("nan")], [0.2, float("inf")], [0.2, -0.1],
@@ -435,11 +444,9 @@ class TestFeedbackLoop:
 
     def test_chunk_mean_is_the_block_order_sum(self, cap_cfg):
         # two distortions give H_bar, and so each block, a leading axis of 2
-        budget = FeedbackBudget(c_fb=1.0, r_bits=3.0, t_blocks=3)
-        mean, blocks = _recorded(capacity._simulate_chunk,
-                                 (cap_cfg, budget, [0.1, 0.5], 5, 1, 0, 2))
-        assert blocks.shape == (6, 2, 5)
-        assert np.array_equal(mean, sum(blocks) / 6)
+        mean, blocks = _recorded(capacity._simulate_chunk, (cap_cfg, 3, [0.1, 0.5], 5, 1, 0))
+        assert blocks.shape == (3, 2, 5)
+        assert np.array_equal(mean, sum(blocks) / 3)
         assert not np.array_equal(mean[0], mean[1])
 
     def test_loop_draws_its_start_first(self, params, cap_cfg):
@@ -479,18 +486,15 @@ def _spy(monkeypatch, name):
 
 
 class TestDrawBudget:
-    @pytest.mark.parametrize("t, periods, expect", [
-        pytest.param(1, 1, 48, id="simulate-1-1-48"),
-        pytest.param(7, 1, 144, id="simulate-7-1-144"),
-        pytest.param(7, 2, 264, id="simulate-7-2-264")])
-    def test_chunk_normals(self, cap_cfg, monkeypatch, t, periods, expect):
-        # normals per trial, 8 per 2x2 draw: the initial channel, P T + 1
-        # visited blocks' estimates, one jump to block T and P T - 1 steps
-        # after it, and the test channel's noise at the P + 1 epochs 0, T,
-        # .., P T, for P periods: 8 (2 P T + P + 3), so 48, 144 and 264.
-        # Four distortions share one draw, so they take exactly the normals
-        # of one.
-        budget = FeedbackBudget(c_fb=1.0, r_bits=t, t_blocks=t)
+    @pytest.mark.parametrize("t, expect", [  # ids: mode-T-periods-normals
+        pytest.param(1, 48, id="simulate-1-1-48"),
+        pytest.param(7, 144, id="simulate-7-1-144")])
+    def test_chunk_normals(self, cap_cfg, monkeypatch, t, expect):
+        # normals per trial, 8 per 2x2 draw: the initial channel, T + 1
+        # visited blocks' estimates, one jump to block T and T - 1 steps
+        # after it, and the test channel's noise at the epochs 0 and T:
+        # 8 (2 T + 4), so 48 and 144.  Four distortions share one draw, so
+        # they take exactly the normals of one.
         b = 3
         streams = []
 
@@ -501,7 +505,7 @@ class TestDrawBudget:
         monkeypatch.setattr(capacity, "_Prefetch", counted)
         for ds in ([0.2], [0.05, 0.2, 0.6, 1.3]):
             streams.clear()
-            out = capacity._simulate_chunk((cap_cfg, budget, ds, b, 1, 0, periods))
+            out = capacity._simulate_chunk((cap_cfg, t, ds, b, 1, 0))
             assert out.shape == (len(ds), b)
             [stream] = streams
             assert stream.normals == expect * b

@@ -606,6 +606,13 @@ class TestCli:
         ["fig4", "--set", "c_fb=1 1"],
         ["fig4", "--set", "c_fb=1 1.0000000000001"],
         ["fig3", "--set", "d_list=0.1 0.1"],
+        # 2 pi f_d lag t_block overflows at the scenario's largest lag
+        ["fig2", "--set", "f_d=2e307", "--set", "t_max=3"],
+        ["fig2", "--set", "t_block=1e306"],
+        ["fig4", "--set", "f_d=1e308", "--set", "t_max=2"],
+        ["fig5", "--set", "f_d=1e308", "--set", "r_max=1"],
+        # a lag past float range
+        ["fig2", "--set", f"t_min={10 ** 400}", "--set", f"t_max={10 ** 400}"],
     ])
     def test_invalid_config_exits_2(self, argv, capsys):
         rc = main(argv)
